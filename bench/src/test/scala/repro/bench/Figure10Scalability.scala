@@ -9,10 +9,12 @@ import repro.eval.{BenchRunner, Method, Reports}
   *
   * Paper shape: D³L indexes the lake several times faster than SANTOS (no KB
   * joins, no FD mining), while SANTOS's inverted indexes answer queries
-  * faster on the larger lakes. Absolute numbers are not comparable — the
+  * faster on TUS and LARGE. Absolute numbers are not comparable — the
   * paper's lakes are 25–170x bigger and its implementation is single-node
-  * Python; at lite scale per-job Spark overhead dominates the query phase
-  * (see EXPERIMENTS.md).
+  * Python. SANTOS queries are served from a driver-side view of its inverted
+  * indexes (one Spark job per query), D³L queries run as Spark joins, so at
+  * lite scale the query ordering is set by Spark jobs per query, not by data
+  * volume (see EXPERIMENTS.md).
   */
 class Figure10Scalability extends SparkSpec {
 
@@ -44,6 +46,15 @@ class Figure10Scalability extends SparkSpec {
       val full = res(b, Method.SantosFull)
       assert(d3l.indexMillis < full.indexMillis,
         s"$b: D3L indexing (${d3l.indexMillis} ms) should beat SANTOS (${full.indexMillis} ms)")
+    }
+
+    // Paper shape: SANTOS_Full answers queries faster than D3L on TUS and
+    // LARGE (on SMALL the paper has D3L slightly faster; not asserted).
+    Seq("TUS", "LARGE").foreach { b =>
+      val d3l = res(b, Method.D3LBaseline)
+      val full = res(b, Method.SantosFull)
+      assert(full.avgQueryMillis < d3l.avgQueryMillis,
+        s"$b: SANTOS query (${full.avgQueryMillis} ms) should beat D3L (${d3l.avgQueryMillis} ms)")
     }
 
     // Timing data is present for every run (the Fig. 10 sample).

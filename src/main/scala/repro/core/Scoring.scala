@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** The SANTOS unionability scoring dataflow (Sec. 6).
   *
@@ -15,86 +16,89 @@ import org.apache.spark.sql.functions._
   * at least the Synth score (Eq. 10) — but the winning KB branch keeps its
   * penalized value, so granular type matches still outrank top-level ones.
   *
-  * All matches are DataFrame joins on the annotation — i.e. lookups in the
-  * inverted indexes of the pre-processing phase.
+  * All matches are lookups in the inverted indexes of the pre-processing
+  * phase, read through the driver-side [[LakeIndex.serving]] view; one query
+  * runs no Spark job here.
   */
 object Scoring {
 
-  /** Eq. 7. Returns (q_table, q_col, t_table, t_col, col_match, gs_sel) where
-    * gs_sel is the granularity score of the *selected* annotation (needed for
-    * the Eq. 10 de-penalization; 1.0 for the synthesized method).
-    */
-  def colMatch(queryCS: DataFrame, lakeCS: DataFrame, withGs: Boolean): DataFrame = {
-    val q = queryCS.select(
-      col("table_id").as("q_table"), col("col_id").as("q_col"),
-      col("annotation"), col("conf").as("q_conf"))
-    val t = lakeCS.select(
-      col("table_id").as("t_table"), col("col_id").as("t_col"),
-      col("annotation"),
-      col("conf").as("t_conf"),
-      (if (withGs) col("gs") else lit(1.0)).as("gs_a"))
-    q.join(t, Seq("annotation"))
-      .groupBy("q_table", "q_col", "t_table", "t_col")
-      .agg(max(struct((col("q_conf") * col("t_conf")).as("prod"),
-                      col("gs_a").as("gs"),
-                      col("annotation").as("ann"))).as("best"))
-      .select(col("q_table"), col("q_col"), col("t_table"), col("t_col"),
-              col("best.prod").as("col_match"), col("best.gs").as("gs_sel"))
+  /** A (query column, lake column) pair. */
+  final case class ColKey(qTable: String, qCol: Int, tTable: String, tCol: Int)
+
+  /** A (query column pair, lake column pair) edge. */
+  final case class Edge(qTable: String, qA: Int, qB: Int, tTable: String, tA: Int, tB: Int) {
+    def flipped: Edge = Edge(qTable, qB, qA, tTable, tB, tA)
   }
 
-  /** Eq. 8 over ordered column pairs; annotation column name differs per
-    * method ("predicate" for KB, "annotation" for Synth) — pass it in.
+  /** Eq. 7 value with the granularity score of the selected annotation. */
+  final case class ColMatch(score: Double, gs: Double)
+
+  /** Eq. 9 value `pm` with its Eq. 10 de-penalized companion. */
+  final case class PairMatch(pm: Double, pmDepen: Double)
+
+  /** Eq. 7: per (query column, lake column) sharing an annotation, the max
+    * product CS(Q_c,a) · CS(T_c,a), with the lake gs of the argmax annotation
+    * (needed for the Eq. 10 de-penalization; 1.0 for the synthesized method).
+    * Ties on the product go to the larger gs.
+    *
+    * @param lake inverted index: annotation -> lake columns
     */
-  def relMatch(queryRS: DataFrame, lakeRS: DataFrame, annCol: String): DataFrame = {
-    val q = queryRS.select(
-      col("table_id").as("q_table"), col("col_a").as("q_a"), col("col_b").as("q_b"),
-      col(annCol).as("ann"), col("conf").as("q_conf"))
-    val t = lakeRS.select(
-      col("table_id").as("t_table"), col("col_a").as("t_a"), col("col_b").as("t_b"),
-      col(annCol).as("ann"), col("conf").as("t_conf"))
-    q.join(t, Seq("ann"))
-      .groupBy("q_table", "q_a", "q_b", "t_table", "t_a", "t_b")
-      .agg(max(col("q_conf") * col("t_conf")).as("rel_match"))
+  def colMatch(query: Seq[ColAnn], lake: Map[String, Seq[ColAnn]]): Map[ColKey, ColMatch] = {
+    val best = mutable.HashMap[ColKey, ColMatch]()
+    for (q <- query; t <- lake.getOrElse(q.annotation, Nil)) {
+      val m = ColMatch(q.conf * t.conf, t.gs)
+      val key = ColKey(q.table, q.col, t.table, t.col)
+      best.get(key) match {
+        case Some(o) if o.score > m.score || (o.score == m.score && o.gs >= m.gs) =>
+        case _ => best(key) = m
+      }
+    }
+    best.toMap
+  }
+
+  /** Eq. 8 over ordered column pairs: the max product RS(qe,p) · RS(te,p)
+    * over annotations p shared by the query and the lake pair.
+    *
+    * @param lake inverted index: annotation -> lake column pairs
+    */
+  def relMatch(query: Seq[PairAnn], lake: Map[String, Seq[PairAnn]]): Map[Edge, Double] = {
+    val best = mutable.HashMap[Edge, Double]()
+    for (q <- query; t <- lake.getOrElse(q.annotation, Nil)) {
+      val key = Edge(q.table, q.a, q.b, t.table, t.a, t.b)
+      val m = q.conf * t.conf
+      if (best.get(key).forall(_ < m)) best(key) = m
+    }
+    best.toMap
   }
 
   /** Eq. 9: pairMatch for one method, with the Eq. 10 de-penalized companion.
-    * Output: (q_table, q_a, q_b, t_table, t_a, t_b, pm, pm_depen).
+    * An edge needs all three components.
     */
-  def pairMatch(colM: DataFrame, relM: DataFrame): DataFrame = {
-    val cm1 = colM.select(
-      col("q_table"), col("q_col").as("q_a"), col("t_table"), col("t_col").as("t_a"),
-      col("col_match").as("cm1"), col("gs_sel").as("gs1"))
-    val cm2 = colM.select(
-      col("q_table"), col("q_col").as("q_b"), col("t_table"), col("t_col").as("t_b"),
-      col("col_match").as("cm2"), col("gs_sel").as("gs2"))
-    relM
-      .join(cm1, Seq("q_table", "q_a", "t_table", "t_a"))
-      .join(cm2, Seq("q_table", "q_b", "t_table", "t_b"))
-      .select(col("q_table"), col("q_a"), col("q_b"),
-              col("t_table"), col("t_a"), col("t_b"),
-              (col("cm1") * col("rel_match") * col("cm2")).as("pm"),
-              (col("cm1") * col("rel_match") * col("cm2") / (col("gs1") * col("gs2")))
-                .as("pm_depen"))
-  }
-
-  private val edgeKeys = Seq("q_table", "q_a", "q_b", "t_table", "t_a", "t_b")
+  def pairMatch(colM: Map[ColKey, ColMatch], relM: Map[Edge, Double]): Map[Edge, PairMatch] =
+    relM.flatMap { case (e, rel) =>
+      for {
+        cm1 <- colM.get(ColKey(e.qTable, e.qA, e.tTable, e.tA))
+        cm2 <- colM.get(ColKey(e.qTable, e.qB, e.tTable, e.tB))
+      } yield {
+        val pm = cm1.score * rel * cm2.score
+        e -> PairMatch(pm, pm / (cm1.gs * cm2.gs))
+      }
+    }
 
   /** Eq. 10: inter-method selection. The KB branch is chosen iff
     * pm_KB/(gs1·gs2) >= pm_Synth; the *penalized* pm_KB is then kept.
     */
-  def combine(pmKb: Option[DataFrame], pmSynth: Option[DataFrame]): DataFrame =
+  def combine(pmKb: Option[Map[Edge, PairMatch]],
+              pmSynth: Option[Map[Edge, PairMatch]]): Map[Edge, Double] =
     (pmKb, pmSynth) match {
-      case (Some(kb), None) => kb.select((edgeKeys.map(col) :+ col("pm")): _*)
-      case (None, Some(sy)) => sy.select((edgeKeys.map(col) :+ col("pm")): _*)
+      case (Some(kb), None) => kb.map { case (e, m) => e -> m.pm }
+      case (None, Some(sy)) => sy.map { case (e, m) => e -> m.pm }
       case (Some(kb), Some(sy)) =>
-        val k = kb.select((edgeKeys.map(col) :+ col("pm").as("pm_kb") :+
-                           col("pm_depen").as("pm_kb_depen")): _*)
-        val s = sy.select((edgeKeys.map(col) :+ col("pm").as("pm_sy")): _*)
-        k.join(s, edgeKeys, "full_outer")
-          .select((edgeKeys.map(col) :+
-            when(coalesce(col("pm_kb_depen"), lit(-1.0)) >= coalesce(col("pm_sy"), lit(0.0)),
-                 col("pm_kb"))
-              .otherwise(col("pm_sy")).as("pm")): _*)
+        (kb.keySet ++ sy.keySet).iterator.map { e =>
+          val kbDepen = kb.get(e).fold(-1.0)(_.pmDepen)
+          val syPm = sy.get(e).fold(0.0)(_.pm)
+          e -> (if (kbDepen >= syPm) kb(e).pm else syPm)
+        }.toMap
       case (None, None) =>
         throw new IllegalArgumentException("at least one method required")
     }
@@ -105,55 +109,52 @@ object Scoring {
     * flips (Sec. 6: the KB may return RS(T_c1,T_c2) for the lake table and
     * RS(Q_c2,Q_c1) for the query table).
     */
-  def orientMax(pm: DataFrame): DataFrame = {
-    val flipped = pm.select(
-      col("q_table"), col("q_b").as("q_a"), col("q_a").as("q_b"),
-      col("t_table"), col("t_b").as("t_a"), col("t_a").as("t_b"),
-      col("pm"))
-    pm.select((edgeKeys.map(col) :+ col("pm")): _*)
-      .union(flipped.select((edgeKeys.map(col) :+ col("pm")): _*))
-      .groupBy(edgeKeys.map(col): _*)
-      .agg(max(col("pm")).as("pm"))
-  }
+  def orientMax(pm: Map[Edge, Double]): Map[Edge, Double] =
+    pm.toSeq.flatMap { case (e, v) => Seq(e -> v, e.flipped -> v) }
+      .groupMapReduce(_._1)(_._2)(math.max)
 
   /** Full edge-score pipeline for a query annotation against a lake index:
     * per-method colMatch/relMatch/pairMatch, inter-method combination, and
-    * orientation closure. Output: (q_table, q_a, q_b, t_table, t_a, t_b, pm).
+    * orientation closure, as a local DataFrame
+    * (q_table, q_a, q_b, t_table, t_a, t_b, pm).
     */
   def edgeScores(ann: QueryAnnotation, index: LakeIndex): DataFrame = {
+    val view = index.serving
     val pmKb = for {
-      qcs <- ann.kbCS; qrs <- ann.kbRS
-      tcs <- index.kbCS; trs <- index.kbRS
-    } yield {
-      val cm = colMatch(qcs, tcs, withGs = true)
-      val rm = relMatch(qrs, trs, "predicate")
-      pairMatch(cm, rm)
-    }
+      qcs <- ann.kbCSRows; qrs <- ann.kbRSRows
+      tcs <- view.kbCS; trs <- view.kbRS
+    } yield pairMatch(colMatch(qcs, tcs), relMatch(qrs, trs))
     val pmSy = for {
-      qcs <- ann.synCS; qrs <- ann.synRS
-      s <- index.synth
-    } yield {
-      val cm = colMatch(qcs, s.synCS, withGs = false)
-      val rm = relMatch(qrs, s.synRS, "annotation")
-      pairMatch(cm, rm)
+      qcs <- ann.synCSRows; qrs <- ann.synRSRows
+      s <- view.synth
+    } yield pairMatch(colMatch(qcs, s.cs), relMatch(qrs, s.rs))
+    val rows = orientMax(combine(pmKb, pmSy)).toSeq.map { case (e, pm) =>
+      (e.qTable, e.qA, e.qB, e.tTable, e.tA, e.tB, pm)
     }
-    orientMax(combine(pmKb, pmSy))
+    val spark = sessionOf(ann)
+    import spark.implicits._
+    rows.toDF("q_table", "q_a", "q_b", "t_table", "t_a", "t_b", "pm")
   }
 
   /** Column-only match scores (for the SANTOS_Col variant mentioned in
-    * Sec. 8.2): best per-method colMatch per (query column, lake column).
-    * Output: (q_table, q_col, t_table, t_col, col_match).
+    * Sec. 8.2): best per-method colMatch per (query column, lake column), as
+    * a local DataFrame (q_table, q_col, t_table, t_col, col_match).
     */
   def columnOnlyScores(ann: QueryAnnotation, index: LakeIndex): DataFrame = {
+    val view = index.serving
     val parts = Seq(
-      for (qcs <- ann.kbCS; tcs <- index.kbCS) yield colMatch(qcs, tcs, withGs = true),
-      for (qcs <- ann.synCS; s <- index.synth) yield colMatch(qcs, s.synCS, withGs = false),
+      for (qcs <- ann.kbCSRows; tcs <- view.kbCS) yield colMatch(qcs, tcs),
+      for (qcs <- ann.synCSRows; s <- view.synth) yield colMatch(qcs, s.cs),
     ).flatten
     require(parts.nonEmpty, "at least one method required")
-    parts
-      .map(_.select(col("q_table"), col("q_col"), col("t_table"), col("t_col"), col("col_match")))
-      .reduce(_ union _)
-      .groupBy("q_table", "q_col", "t_table", "t_col")
-      .agg(max(col("col_match")).as("col_match"))
+    val rows = parts.flatten.groupMapReduce(_._1)(_._2.score)(math.max).toSeq.map { case (k, m) =>
+      (k.qTable, k.qCol, k.tTable, k.tCol, m)
+    }
+    val spark = sessionOf(ann)
+    import spark.implicits._
+    rows.toDF("q_table", "q_col", "t_table", "t_col", "col_match")
   }
+
+  private def sessionOf(ann: QueryAnnotation): SparkSession =
+    Seq(ann.kbCS, ann.kbRS, ann.synCS, ann.synRS).flatten.head.sparkSession
 }

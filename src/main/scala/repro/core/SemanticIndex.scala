@@ -10,8 +10,8 @@ import repro.kb.KBIndex
   * (the SANTOS_KB / SANTOS_Synth ablation variants of Sec. 8.3).
   *
   * The DataFrames *are* the inverted indexes: `kbCS` keyed by `annotation`
-  * answers "which lake columns carry type a", and joins in the query phase
-  * perform exactly the inverted-index lookups of the paper.
+  * answers "which lake columns carry type a". The query phase reads them
+  * through [[serving]], their driver-side hash-map form.
   */
 final case class LakeIndex(
     kb: Option[KBIndex],
@@ -25,6 +25,12 @@ final case class LakeIndex(
     synth.foreach(_.materialize())
     this
   }
+
+  /** The inverted indexes as driver-side hash maps, for the query phase.
+    * Collected from the persisted DataFrames on first use, not by
+    * [[materialize]], so flows that only index never pay for it.
+    */
+  lazy val serving: ServingView = ServingView.collect(this)
 
   def unpersistAll(): Unit = {
     (kbCS.toSeq ++ kbRS.toSeq).foreach(_.unpersist())

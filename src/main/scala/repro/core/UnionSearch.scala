@@ -4,9 +4,9 @@ import org.apache.spark.sql.DataFrame
 
 /** Top-k union search (Def. 10, Eq. 11).
   *
-  * Edge-level pairMatch scores are computed in Spark ([[Scoring.edgeScores]]);
-  * this module performs the final — tiny — per-(query, candidate) tree
-  * assembly on the driver: anchor the intent column on a candidate column,
+  * Edge-level pairMatch scores come from [[Scoring.edgeScores]], which looks
+  * them up in the driver-side serving view of the lake index; this module
+  * performs the final per-(query, candidate) tree assembly: anchor the intent column on a candidate column,
   * then greedily map each query-tree edge (in BFS order) onto the best unused
   * lake edge leaving the already-mapped parent, summing pairMatch. The anchor
   * with the maximal sum gives S(Q,T); tables rank by S.

@@ -66,10 +66,11 @@ final case class RunResult(
   */
 object Harness {
 
-  private def timed[A](body: => A): (A, Long) = {
+  /** Runs `body`, returning its result and wall time in fractional ms. */
+  private def timed[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = body
-    (a, (System.nanoTime() - t0) / 1000000L)
+    (a, (System.nanoTime() - t0) / 1e6)
   }
 
   /** Local-run tuning: the lite lakes are small, so adaptive execution with
@@ -129,32 +130,23 @@ object Harness {
 
     def searchFor(cells: DataFrame, queryIntents: Map[String, Int]): Map[String, Seq[Ranked]] = {
       val ann = QueryAnnotator.annotate(cells, index)
-      // Query annotations feed both tree construction and scoring; persist so
-      // the joins against the lake index run once.
-      val annDfs = Seq(ann.kbCS, ann.kbRS, ann.synCS, ann.synRS).flatten
-      annDfs.foreach(_.persist())
-      try {
-        if (columnOnly) {
-          UnionSearch.searchColumnOnly(queryIntents.keys.toSeq.sorted,
-                                       Scoring.columnOnlyScores(ann, index), bench.k)
-        } else {
-          val trees = QueryAnnotator.queryTrees(ann, queryIntents)
-          UnionSearch.searchAll(trees, Scoring.edgeScores(ann, index), bench.k)
-        }
-      } finally annDfs.foreach(_.unpersist())
+      if (columnOnly) {
+        UnionSearch.searchColumnOnly(queryIntents.keys.toSeq.sorted,
+                                     Scoring.columnOnlyScores(ann, index), bench.k)
+      } else {
+        val trees = QueryAnnotator.queryTrees(ann, queryIntents)
+        UnionSearch.searchAll(trees, Scoring.edgeScores(ann, index), bench.k)
+      }
     }
 
     val rankings = searchFor(bench.queryCells, intents)
 
     val queryTimes = bench.queries.take(timeQueries).map { q =>
-      val (_, ms) = timed {
-        searchFor(queryCellsOf(bench, q.tableId), Map(q.tableId -> q.intentCol))
-      }
-      ms.toDouble
+      timed(searchFor(queryCellsOf(bench, q.tableId), Map(q.tableId -> q.intentCol)))._2
     }
 
     index.unpersistAll()
-    RunResult(bench.name, method, bench.k, indexMillis, rankings,
+    RunResult(bench.name, method, bench.k, indexMillis.toLong, rankings,
               bench.groundTruth, queryTimes)
   }
 
@@ -166,12 +158,9 @@ object Harness {
     val queryIds = bench.queries.map(_.tableId)
     val rankings = D3L.search(bench.queryCells, index, queryIds, bench.k)
     val queryTimes = bench.queries.take(timeQueries).map { q =>
-      val (_, ms) = timed {
-        D3L.search(queryCellsOf(bench, q.tableId), index, Seq(q.tableId), bench.k)
-      }
-      ms.toDouble
+      timed(D3L.search(queryCellsOf(bench, q.tableId), index, Seq(q.tableId), bench.k))._2
     }
-    RunResult(bench.name, Method.D3LBaseline, bench.k, indexMillis, rankings,
+    RunResult(bench.name, Method.D3LBaseline, bench.k, indexMillis.toLong, rankings,
               bench.groundTruth, queryTimes)
   }
 }

@@ -59,6 +59,45 @@ final class KBIndex(
 
   def unpersistAll(): Unit =
     Seq(labels, typeDict, relDict, coveredLabels).foreach(_.unpersist())
+
+  /** The dictionaries the query phase reads, as driver-side hash maps.
+    * Collected on first use, so offline flows that never query skip it.
+    */
+  @transient lazy val view: KBView = KBView.collect(this)
+}
+
+/** One type of a label in the type dictionary. */
+final case class KBType(typeId: String, topLevel: String, gs: Double)
+
+/** One predicate of a label pair in the relationship dictionary. */
+final case class KBPredicate(predicate: String, predPairs: Long)
+
+/** Driver-resident lookups over a [[KBIndex]]:
+  *
+  * @param types      `typeDict`: label -> every self-or-ancestor type
+  * @param covered    `coveredLabels`: labels present in the KB
+  * @param predicates `relDict`: (subject label, object label) -> predicates
+  * @param topLevelCounts entities per top-level type, as in [[KBIndex]]
+  */
+final class KBView(
+    val types: Map[String, Seq[KBType]],
+    val covered: Set[String],
+    val predicates: Map[(String, String), Seq[KBPredicate]],
+    val topLevelCounts: Map[String, Long])
+
+object KBView {
+  def collect(kb: KBIndex): KBView = {
+    val types = kb.typeDict.select("label", "type_id", "top_level", "gs").collect()
+      .map(r => r.getString(0) -> KBType(r.getString(1).intern(), r.getString(2).intern(), r.getDouble(3)))
+    val covered = kb.coveredLabels.select("label").collect().map(_.getString(0))
+    val preds = kb.relDict.select("label_subj", "label_obj", "predicate", "pred_pairs").collect()
+      .map(r => (r.getString(0), r.getString(1)) -> KBPredicate(r.getString(2).intern(), r.getLong(3)))
+    new KBView(
+      types.toSeq.distinct.groupMap(_._1)(_._2),
+      covered.toSet,
+      preds.toSeq.distinct.groupMap(_._1)(_._2),
+      kb.topLevelCounts)
+  }
 }
 
 object KBDictionaries {

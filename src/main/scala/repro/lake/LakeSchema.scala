@@ -1,5 +1,6 @@
 package repro.lake
 
+import com.ibm.icu.lang.UCharacter
 import org.apache.spark.sql.{DataFrame, SparkSession, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -43,13 +44,17 @@ object LakeSchema {
   /** Values SANTOS treats as missing (the paper's lakes contain nulls). */
   private val nullTokens = Set("", "null", "nan", "none", "n/a", "-")
 
-  /** Normalizes a raw cell value the way SANTOS maps cells to KB labels:
-    * lower-cased, trimmed, with null-ish placeholder tokens dropped.
+  /** Normalizes a raw cell value the way SANTOS maps cells to KB labels, and
+    * exactly as [[stringCells]] does in Spark: leading and trailing spaces
+    * removed (U+0020 only, as Spark's `trim`), lower-cased with ICU's full
+    * case mapping (as Spark's `lower`, which lowers a word-final Σ to ς),
+    * null-ish placeholder tokens dropped.
     */
   def normalizeValue(v: String): Option[String] = {
     if (v == null) None
     else {
-      val t = v.trim.toLowerCase
+      val b = v.indexWhere(_ != ' ')
+      val t = if (b < 0) "" else UCharacter.toLowerCase(v.substring(b, v.lastIndexWhere(_ != ' ') + 1))
       if (nullTokens.contains(t)) None else Some(t)
     }
   }

@@ -3,8 +3,6 @@ package repro.integration
 import repro.SparkSpec
 import repro.eval.{Harness, Method}
 import repro.kb.{KBConfig, World}
-import repro.lake.BenchmarkGen
-import repro.lake.BenchmarkGen._
 
 /** End-to-end behaviour of the full system on micro benchmarks: the paper's
   * qualitative claims at miniature scale.
@@ -13,37 +11,8 @@ class EndToEndSpec extends SparkSpec {
 
   lazy val world = new World(42L)
 
-  /** Parks + the Birthplace trap (Ex. 1) + an unrelated domain. */
-  lazy val trapBench = BenchmarkGen.generate(
-    spark, world, "TRAP", k = 5,
-    Seq(
-      DomainSpec("parks", Some("park"), Seq(
-        SubjectCol("park_name"), PropCol("supervisor", "ledby"),
-        PropCol("city", "locatedin"), ChainCol("state", "locatedin", "locatedin")),
-        nSubjects = 90, nPartitions = 7, kbCoverage = 0.9, isQuery = true),
-      DomainSpec("birthplaces", Some("person"), Seq(
-        SubjectCol("person_name"), PropCol("city", "bornin"),
-        ChainCol("state", "bornin", "locatedin")),
-        nSubjects = 90, nPartitions = 6, kbCoverage = 0.9, isQuery = false),
-      DomainSpec("movies", Some("movie"), Seq(
-        SubjectCol("film_title"), PropCol("director", "directedby")),
-        nSubjects = 90, nPartitions = 6, kbCoverage = 0.9, isQuery = false),
-    ),
-    queriesPerDomain = 2, seed = 21L)
-
-  /** A zero-KB-coverage domain next to covered ones. */
-  lazy val synthBench = BenchmarkGen.generate(
-    spark, world, "ZEROCOV", k = 4,
-    Seq(
-      DomainSpec("programs", None, Seq(
-        SubjectCol("program_name"), LocalPropCol("department", 12),
-        LocalPropCol("category", 6)),
-        nSubjects = 90, nPartitions = 6, kbCoverage = 0.0, isQuery = true),
-      DomainSpec("schools", Some("school"), Seq(
-        SubjectCol("school_name"), PropCol("city", "locatedin")),
-        nSubjects = 90, nPartitions = 6, kbCoverage = 0.9, isQuery = false),
-    ),
-    queriesPerDomain = 2, seed = 22L)
+  lazy val trapBench = MicroBenchmarks.trap(spark, world)
+  lazy val synthBench = MicroBenchmarks.zeroCoverage(spark, world)
 
   test("SANTOS_Full keeps the Birthplace trap out of the top-k") {
     val res = Harness.run(spark, world, trapBench, Method.SantosFull)

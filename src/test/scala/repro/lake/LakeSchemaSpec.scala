@@ -1,6 +1,10 @@
 package repro.lake
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => ScalaCheckTest}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.{Oracle, SparkSpec}
 import repro.lake.LakeSchema.TableData
 
@@ -32,6 +36,36 @@ class LakeSchemaSpec extends SparkSpec {
     assert(LakeSchema.normalizeValue("-") === None)
     assert(LakeSchema.normalizeValue("") === None)
     assert(LakeSchema.normalizeValue("x") === Some("x"))
+  }
+
+  test("normalizeValue agrees with stringCells on whitespace, case and null tokens") {
+    // Pieces a cell is glued from: Spark's trim strips only U+0020, so tabs,
+    // newlines and non-breaking spaces at the edges must survive.
+    val piece = Gen.oneOf(
+      Gen.oneOf(" ", "  ", "\t", "\n", "\r", "\u00a0"),
+      Gen.oneOf("null", "NULL", "NaN", "None", "n/A", "-", ""),
+      Gen.oneOf("Boston", "kELLS park", "ÉCOLE", "Straße", "ΟΔΟΣ", "x1"),
+      Gen.alphaNumStr.map(_.take(6)))
+    val cell: Gen[String] = Gen.frequency(
+      1 -> Gen.const(null),
+      12 -> Gen.choose(0, 4).flatMap(Gen.listOfN(_, piece)).map(_.mkString))
+    def show(v: String): String =
+      if (v == null) "null"
+      else v.flatMap(c => if (c.isWhitespace || c.isSpaceChar) f"\\u${c.toInt}%04x" else c.toString)
+    val prop = Prop.forAll(Gen.listOfN(48, cell)) { values =>
+      val cells = LakeSchema.cellsOf(spark, Seq(
+        TableData("t", Seq("v"), Seq(true), values.map(Seq(_)))))
+      val bySpark = LakeSchema.stringCells(cells).select("row_id", "value").collect()
+        .map(r => r.getLong(0).toInt -> r.getString(1)).toMap
+      Prop.all(values.indices.map { i =>
+        (LakeSchema.normalizeValue(values(i)) == bySpark.get(i)) :|
+          s"cell ${show(values(i))}: normalizeValue ${LakeSchema.normalizeValue(values(i)).map(show)}, " +
+          s"stringCells ${bySpark.get(i).map(show)}"
+      }: _*)
+    }
+    val res = ScalaCheckTest.check(
+      ScalaCheckTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(101L)), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("cellsOf emits one row per cell") {
