@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
 import repro.kb.KBIndex
 import repro.lake.LakeSchema
@@ -18,6 +16,10 @@ import repro.lake.LakeSchema
   *   CS_CONF(a)  = fs(a) * gs(a)   for lake columns    (Eq. 3)
   *   CS_CONF(a)  = fs(a)           for query columns
   *
+  * Every input is one table's columns, so this runs per table:
+  * [[TableKernel.columnSemantics]] on the executors, against the broadcast
+  * KB view.
+  *
   * Output schema: (table_id, col_id, annotation, top_level, fs, gs, conf).
   */
 object ColumnSemantics {
@@ -29,57 +31,12 @@ object ColumnSemantics {
     * @param isQuery query tables skip the gs penalty (Eq. 3, second case)
     */
   def compute(cells: DataFrame, kb: KBIndex, isQuery: Boolean): DataFrame = {
-    val colVals = LakeSchema.distinctColumnValues(cells)
-
-    // |c_KB|: distinct values of c present in the KB at all (any type).
-    val nKb = colVals
-      .join(kb.coveredLabels, colVals("value") === kb.coveredLabels("label"), "left_semi")
-      .groupBy("table_id", "col_id")
-      .agg(count(lit(1)).as("n_kb"))
-
-    // Candidate set: every (value, self-or-ancestor type) mapping.
-    val mapped = colVals
-      .join(kb.typeDict, colVals("value") === kb.typeDict("label"))
-      .select(colVals("table_id"), colVals("col_id"), colVals("value"),
-              col("type_id"), col("top_level"), col("gs"))
-      .distinct()
-
-    // Majority top-level per column; ties go to the rarer top-level type.
-    val spark = mapped.sparkSession
+    val spark = cells.sparkSession
     import spark.implicits._
-    val topPop = kb.topLevelCounts.toSeq.toDF("top_level_p", "top_pop")
-    val topCounts = mapped
-      .select("table_id", "col_id", "top_level", "value").distinct()
-      .groupBy("table_id", "col_id", "top_level")
-      .agg(count(lit(1)).as("n_top"))
-      .join(topPop, col("top_level") === col("top_level_p"), "left")
-      .drop("top_level_p")
-    val w = Window.partitionBy("table_id", "col_id")
-      .orderBy(col("n_top").desc, col("top_pop").asc, col("top_level").asc)
-    val majorityTop = topCounts
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select(col("table_id").as("t_m"), col("col_id").as("c_m"),
-              col("top_level").as("top_m"))
-
-    // fs per surviving type.
-    val consistent = mapped.join(
-      majorityTop,
-      mapped("table_id") === col("t_m") && mapped("col_id") === col("c_m") &&
-        mapped("top_level") === col("top_m"))
-      .select(mapped("table_id"), mapped("col_id"), mapped("value"),
-              col("type_id"), col("top_level"), col("gs"))
-    val perType = consistent
-      .groupBy("table_id", "col_id", "type_id", "top_level", "gs")
-      .agg(count(lit(1)).as("n_a")) // values are distinct per (col, type)
-    val withFs = perType
-      .join(nKb, Seq("table_id", "col_id"))
-      .withColumn("fs", col("n_a") / col("n_kb"))
-
-    val conf = if (isQuery) col("fs") else col("fs") * col("gs")
-    withFs.select(
-      col("table_id"), col("col_id"),
-      col("type_id").as("annotation"), col("top_level"),
-      col("fs"), col("gs"), conf.as("conf"))
+    val view = kb.broadcastView
+    LakeSchema.perTable(cells) { (t, tc) =>
+      TableKernel.columnSemantics(tc.colVals, view.value, isQuery)
+        .map(r => (t, r.col, r.annotation, r.topLevel, r.fs, r.gs, r.conf))
+    }.toDF("table_id", "col_id", "annotation", "top_level", "fs", "gs", "conf")
   }
 }

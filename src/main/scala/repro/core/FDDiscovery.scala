@@ -1,14 +1,13 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Unary functional-dependency discovery over every string-column pair of
   * every table (the FDEP [12] bottom-up variant the paper uses, Sec. 7.2:
   * consider all pairwise relationships, then check whether each satisfies an
-  * FD). As a dataflow this is one aggregation over the distinct value pairs:
-  * `col_a -> col_b` holds in a table iff no value of `col_a` co-occurs with
-  * two distinct values of `col_b`.
+  * FD). `col_a -> col_b` holds in a table iff no value of `col_a` co-occurs
+  * with two distinct values of `col_b`; each table is checked on its own, by
+  * [[TableKernel.unaryFds]] on the executors.
   */
 object FDDiscovery {
 
@@ -18,13 +17,13 @@ object FDDiscovery {
     *                   produced by [[repro.lake.LakeSchema.valuePairs]]
     */
   def unaryFds(valuePairs: DataFrame): DataFrame = {
-    valuePairs
-      .groupBy("table_id", "col_a", "col_b", "value_a")
-      .agg(countDistinct(col("value_b")).as("n_dep"))
-      .groupBy("table_id", "col_a", "col_b")
-      .agg(max(col("n_dep")).as("max_dep"))
-      .filter(col("max_dep") === 1)
-      .select(col("table_id"), col("col_a").as("col_det"), col("col_b").as("col_dep"))
+    val spark = valuePairs.sparkSession
+    import spark.implicits._
+    valuePairs.select("table_id", "col_a", "col_b", "value_a", "value_b")
+      .as[(String, Int, Int, String, String)].groupByKey(_._1)
+      .flatMapGroups { (t, ps) =>
+        TableKernel.unaryFds(TableKernel.pairsOf(ps)).map { case (d, e) => (t, d, e) }
+      }.toDF("table_id", "col_det", "col_dep")
   }
 
   /** Ordered column pairs qualifying for a synthesized relationship: the FD
@@ -33,8 +32,11 @@ object FDDiscovery {
     * emitted, consistent with [[repro.lake.LakeSchema.valuePairs]].
     */
   def meaningfulPairs(fds: DataFrame): DataFrame = {
-    val fwd = fds.select(col("table_id"), col("col_det").as("col_a"), col("col_dep").as("col_b"))
-    val bwd = fds.select(col("table_id"), col("col_dep").as("col_a"), col("col_det").as("col_b"))
-    fwd.union(bwd).distinct()
+    val spark = fds.sparkSession
+    import spark.implicits._
+    fds.select("table_id", "col_det", "col_dep").as[(String, Int, Int)].groupByKey(_._1)
+      .flatMapGroups { (t, it) =>
+        TableKernel.meaningfulPairs(it.map(f => (f._2, f._3)).toSeq).map { case (a, b) => (t, a, b) }
+      }.toDF("table_id", "col_a", "col_b")
   }
 }

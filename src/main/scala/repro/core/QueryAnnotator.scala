@@ -1,9 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType, StructType}
 
-import repro.kb.KBView
 import repro.lake.LakeSchema
+import repro.lake.LakeSchema.TableCells
 
 /** Semantic annotation of query tables (the online half of Fig. 4).
   *
@@ -45,115 +47,69 @@ final case class QueryTree(tableId: String, intentCol: Int, edges: Seq[(Int, Int
 
 object QueryAnnotator {
 
-  /** The normalized string cells of the query tables, grouped on the driver
-    * the way [[LakeSchema.distinctColumnValues]] and [[LakeSchema.valuePairs]]
-    * group them in Spark.
-    */
-  private final class QueryCells(cells: Seq[(String, Int, Long, String)]) {
-    /** Distinct values per (table, col). */
-    val colVals: Map[(String, Int), Set[String]] =
-      cells.groupMapReduce(c => (c._1, c._2))(c => Set(c._4))(_ ++ _)
-
-    /** Distinct ordered value pairs per (table, col_a, col_b), col_a != col_b. */
-    val pairs: Map[(String, Int, Int), Set[(String, String)]] =
-      cells.groupBy(c => (c._1, c._3)).valuesIterator.flatMap { row =>
-        for (x <- row; y <- row if x._2 != y._2) yield ((x._1, x._2, y._2), (x._4, y._4))
-      }.toSeq.groupMapReduce(_._1)(p => Set(p._2))(_ ++ _)
-  }
-
   /** Annotates all query tables in one pass against the lake index.
     *
-    * One Spark job collects the query's normalized string cells; the four
-    * annotations are then computed on the driver against the index's
-    * [[LakeIndex.serving]] view, with the semantics of
-    * [[ColumnSemantics.compute]] (`isQuery = true`),
-    * [[RelationshipSemantics.compute]] and the synthesized overlaps, and
-    * returned both as driver-side rows and as local DataFrames.
+    * One Spark job collects the query's string cells, normalized on the
+    * driver as [[LakeSchema.stringCells]] normalizes them in Spark; the four
+    * annotations are then computed on the driver, table by table, against
+    * the index's [[LakeIndex.serving]] view: the KB ones by the lake side's
+    * kernel ([[TableKernel.columnSemantics]] with `isQuery = true`,
+    * [[TableKernel.relationshipSemantics]]), the synthesized ones as overlaps
+    * with the lake's columns and FD pairs. They are returned both as
+    * driver-side rows and as local DataFrames.
     */
   def annotate(queryCells: DataFrame, index: LakeIndex): QueryAnnotation = {
     val view = index.serving
     val spark = queryCells.sparkSession
-    import spark.implicits._
-    val q = new QueryCells(
-      LakeSchema.stringCells(queryCells).select("table_id", "col_id", "row_id", "value")
-        .collect().toSeq.map(r => (r.getString(0), r.getInt(1), r.getLong(2), r.getString(3))))
+    val tables: Seq[(String, TableCells)] =
+      queryCells.filter(col("is_string")).select("table_id", "col_id", "row_id", "value")
+        .collect().toSeq
+        .flatMap(r => LakeSchema.normalizeValue(r.getString(3)).map((r.getString(0), r.getInt(1), r.getLong(2), _)))
+        .groupMap(_._1)(c => (c._2, c._3, c._4))
+        .toSeq.map { case (t, cells) => t -> new TableCells(cells) }
 
-    val kbCS = view.kb.map(kb => columnSemantics(q, kb))
-    val kbRS = for (kb <- view.kb; cs <- kbCS) yield relationshipSemantics(q, kb, cs)
+    val kbAnn = view.kb.map { kb =>
+      tables.map { case (t, tc) =>
+        val cs = TableKernel.columnSemantics(tc.colVals, kb, isQuery = true)
+        val rs = TableKernel.relationshipSemantics(tc.pairs, kb, cs.map(_.col).toSet)
+        (cs.map(t -> _), rs.map(r => PairAnn(t, r.a, r.b, r.predicate, r.conf)))
+      }
+    }
+    val kbCS = kbAnn.map(_.flatMap(_._1))
+    val kbRS = kbAnn.map(_.flatMap(_._2))
 
     val synCS = view.synth.map { s =>
-      q.colVals.toSeq.flatMap { case ((t, c), values) =>
-        overlaps(values, s.colVals).map { case ((lt, lc), n) =>
-          ColAnn(t, c, s"$lt#$lc", n.toDouble / values.size)
-        }
-      }
+      for ((t, tc) <- tables; (c, values) <- tc.colVals.toSeq; ((lt, lc), n) <- overlaps(values, s.colVals))
+        yield ColAnn(t, c, s"$lt#$lc", n.toDouble / values.size)
     }
     val synRS = view.synth.map { s =>
-      q.pairs.toSeq.flatMap { case ((t, a, b), values) =>
-        overlaps(values, s.fdPairVals).map { case ((lt, la, lb), n) =>
-          PairAnn(t, a, b, s"$lt#$la#$lb", n.toDouble / values.size)
-        }
-      }
+      for ((t, tc) <- tables; ((a, b), values) <- tc.pairs.toSeq;
+           ((lt, la, lb), n) <- overlaps(values, s.fdPairVals))
+        yield PairAnn(t, a, b, s"$lt#$la#$lb", n.toDouble / values.size)
     }
 
+    def frame(schema: StructType, rows: Seq[Row]) = ServingView.localFrame(spark, schema, rows)
     QueryAnnotation(
-      kbCS.map(_.toDF("table_id", "col_id", "annotation", "top_level", "fs", "gs", "conf")),
-      kbRS.map(_.map(r => (r.table, r.a, r.b, r.annotation, r.conf))
-        .toDF("table_id", "col_a", "col_b", "predicate", "conf")),
-      synCS.map(_.map(r => (r.table, r.col, r.annotation, r.conf))
-        .toDF("table_id", "col_id", "annotation", "conf")),
-      synRS.map(_.map(r => (r.table, r.a, r.b, r.annotation, r.conf))
-        .toDF("table_id", "col_a", "col_b", "annotation", "conf")),
+      kbCS.map(rs => frame(KbCSSchema,
+        rs.map { case (t, r) => Row(t, r.col, r.annotation, r.topLevel, r.fs, r.gs, r.conf) })),
+      kbRS.map(rs => frame(pairSchema("predicate"), rs.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf)))),
+      synCS.map(rs => frame(SynCSSchema, rs.map(r => Row(r.table, r.col, r.annotation, r.conf)))),
+      synRS.map(rs => frame(pairSchema("annotation"), rs.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf)))),
       Some(AnnotationRows(
-        kbCS.map(_.map(r => ColAnn(r._1, r._2, r._3, r._7))), kbRS, synCS, synRS)))
+        kbCS.map(_.map { case (t, r) => ColAnn(t, r.col, r.annotation, r.conf) }), kbRS, synCS, synRS)))
   }
+
+  private val KbCSSchema = ServingView.schema("table_id" -> StringType, "col_id" -> IntegerType,
+    "annotation" -> StringType, "top_level" -> StringType, "fs" -> DoubleType, "gs" -> DoubleType,
+    "conf" -> DoubleType)
+  private val SynCSSchema = ServingView.schema("table_id" -> StringType, "col_id" -> IntegerType,
+    "annotation" -> StringType, "conf" -> DoubleType)
+  private def pairSchema(annCol: String) = ServingView.schema("table_id" -> StringType,
+    "col_a" -> IntegerType, "col_b" -> IntegerType, annCol -> StringType, "conf" -> DoubleType)
 
   /** |q ∩ l| for every lake entry l sharing a key with the query set q. */
   private def overlaps[K, L](keys: Set[K], index: Map[K, Seq[L]]): Map[L, Int] =
     keys.toSeq.flatMap(index.getOrElse(_, Nil)).groupMapReduce(identity)(_ => 1)(_ + _)
-
-  /** Eq. 1 and Eq. 3 (query case, conf = fs) after the semantic-consistency
-    * filter: the majority top level wins, ties go to the rarer top level
-    * (a top level without an entity count sorts first), then by name.
-    * Rows: (table_id, col_id, annotation, top_level, fs, gs, conf).
-    */
-  private def columnSemantics(q: QueryCells, kb: KBView)
-      : Seq[(String, Int, String, String, Double, Double, Double)] =
-    q.colVals.toSeq.flatMap { case ((t, c), values) =>
-      val nKb = values.count(kb.covered)
-      val mapped = values.toSeq.flatMap(v => kb.types.getOrElse(v, Nil).map(v -> _))
-      if (mapped.isEmpty) Nil
-      else {
-        val majority = mapped.groupMapReduce(_._2.topLevel)(m => Set(m._1))(_ ++ _).toSeq
-          .minBy { case (top, vs) => (-vs.size, kb.topLevelCounts.get(top), top) }._1
-        mapped.filter(_._2.topLevel == majority).groupBy(_._2).toSeq.map { case (ty, vs) =>
-          val fs = vs.size.toDouble / nKb
-          (t, c, ty.typeId, ty.topLevel, fs, ty.gs, fs)
-        }
-      }
-    }
-
-  /** Eq. 4 over ordered pairs of columns that both have CS; only the
-    * max-scoring predicate is kept, ties going to the predicate with fewer KB
-    * pairs, then by name.
-    */
-  private def relationshipSemantics(q: QueryCells, kb: KBView,
-                                    cs: Seq[(String, Int, String, String, Double, Double, Double)])
-      : Seq[PairAnn] = {
-    val csCols = cs.map(r => (r._1, r._2)).toSet
-    q.pairs.toSeq.flatMap { case ((t, a, b), values) =>
-      if (!csCols((t, a)) || !csCols((t, b))) Nil
-      else {
-        val inKb = values.filter { case (va, vb) => kb.covered(va) && kb.covered(vb) }
-        val nP = inKb.toSeq.flatMap(kb.predicates.getOrElse(_, Nil)).groupMapReduce(identity)(_ => 1)(_ + _)
-        if (nP.isEmpty) Nil
-        else {
-          val (best, n) = nP.toSeq.minBy { case (p, n) => (-n, p.predPairs, p.predicate) }
-          Seq(PairAnn(t, a, b, best.predicate, n.toDouble / inKb.size))
-        }
-      }
-    }
-  }
 
   /** Builds the query semantic tree for each (query table, intent column):
     * BFS from the intent column over the undirected graph whose edges are

@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
 import repro.kb.KBIndex
 import repro.lake.LakeSchema
@@ -21,6 +19,10 @@ import repro.lake.LakeSchema
   * column pair are computed, because KB predicates are directed and the paper
   * preserves RS(c1,c2) and RS(c2,c1) for lake tables.
   *
+  * Value pairs never cross tables, so this runs per table:
+  * [[TableKernel.relationshipSemantics]] on the executors, against the
+  * broadcast KB view.
+  *
   * Output schema: (table_id, col_a, col_b, predicate, conf).
   */
 object RelationshipSemantics {
@@ -28,47 +30,19 @@ object RelationshipSemantics {
   def compute(cells: DataFrame, kb: KBIndex, cs: DataFrame): DataFrame =
     computeFromPairs(LakeSchema.valuePairs(cells), kb, cs)
 
-  /** Variant taking pre-computed value pairs (shared with other phases). */
+  /** Variant taking value pairs as [[LakeSchema.valuePairs]] gives them; they
+    * are grouped by table together with the columns that have CS.
+    */
   def computeFromPairs(valuePairs: DataFrame, kb: KBIndex, cs: DataFrame): DataFrame = {
-    // Restrict to column pairs whose both sides have CS.
-    val csCols = cs.select(col("table_id").as("t_c"), col("col_id").as("c_c")).distinct()
-    val restricted = valuePairs
-      .join(csCols, valuePairs("table_id") === col("t_c") &&
-                    valuePairs("col_a") === col("c_c"), "left_semi")
-      .join(csCols, valuePairs("table_id") === col("t_c") &&
-                    valuePairs("col_b") === col("c_c"), "left_semi")
-
-    // |(c_i,c_j)_KB|: distinct pairs with both values in the KB.
-    val coveredA = kb.coveredLabels.select(col("label").as("lbl_a"))
-    val coveredB = kb.coveredLabels.select(col("label").as("lbl_b"))
-    val pairsKb = restricted
-      .join(coveredA, col("value_a") === col("lbl_a"), "left_semi")
-      .join(coveredB, col("value_b") === col("lbl_b"), "left_semi")
-    val nKb = pairsKb
-      .groupBy("table_id", "col_a", "col_b")
-      .agg(count(lit(1)).as("n_kb")) // rows already distinct value pairs
-
-    // |(c_i,c_j)_p|: distinct pairs carrying predicate p, subject on col_a.
-    val withP = pairsKb
-      .join(kb.relDict,
-            col("value_a") === col("label_subj") && col("value_b") === col("label_obj"))
-      .select(col("table_id"), col("col_a"), col("col_b"),
-              col("value_a"), col("value_b"), col("predicate"), col("pred_pairs"))
-      .distinct()
-    val nP = withP
-      .groupBy("table_id", "col_a", "col_b", "predicate", "pred_pairs")
-      .agg(count(lit(1)).as("n_p"))
-
-    val scored = nP
-      .join(nKb, Seq("table_id", "col_a", "col_b"))
-      .withColumn("conf", col("n_p") / col("n_kb"))
-
-    // Keep only the max-scoring predicate; rarer predicate wins ties.
-    val w = Window.partitionBy("table_id", "col_a", "col_b")
-      .orderBy(col("conf").desc, col("pred_pairs").asc, col("predicate").asc)
-    scored
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select("table_id", "col_a", "col_b", "predicate", "conf")
+    val spark = valuePairs.sparkSession
+    import spark.implicits._
+    val view = kb.broadcastView
+    val pairs = valuePairs.select("table_id", "col_a", "col_b", "value_a", "value_b")
+      .as[(String, Int, Int, String, String)].groupByKey(_._1)
+    val csCols = cs.select("table_id", "col_id").as[(String, Int)].groupByKey(_._1)
+    pairs.cogroup(csCols) { (t, ps, cols) =>
+      TableKernel.relationshipSemantics(TableKernel.pairsOf(ps), view.value, cols.map(_._2).toSet)
+        .map(r => (t, r.a, r.b, r.predicate, r.conf))
+    }.toDF("table_id", "col_a", "col_b", "predicate", "conf")
   }
 }

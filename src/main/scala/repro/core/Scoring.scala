@@ -2,7 +2,8 @@ package repro.core
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
 
 /** The SANTOS unionability scoring dataflow (Sec. 6).
   *
@@ -129,11 +130,9 @@ object Scoring {
       s <- view.synth
     } yield pairMatch(colMatch(qcs, s.cs), relMatch(qrs, s.rs))
     val rows = orientMax(combine(pmKb, pmSy)).toSeq.map { case (e, pm) =>
-      (e.qTable, e.qA, e.qB, e.tTable, e.tA, e.tB, pm)
+      Row(e.qTable, e.qA, e.qB, e.tTable, e.tA, e.tB, pm)
     }
-    val spark = sessionOf(ann)
-    import spark.implicits._
-    rows.toDF("q_table", "q_a", "q_b", "t_table", "t_a", "t_b", "pm")
+    ServingView.localFrame(sessionOf(ann), EdgeSchema, rows)
   }
 
   /** Column-only match scores (for the SANTOS_Col variant mentioned in
@@ -148,12 +147,16 @@ object Scoring {
     ).flatten
     require(parts.nonEmpty, "at least one method required")
     val rows = parts.flatten.groupMapReduce(_._1)(_._2.score)(math.max).toSeq.map { case (k, m) =>
-      (k.qTable, k.qCol, k.tTable, k.tCol, m)
+      Row(k.qTable, k.qCol, k.tTable, k.tCol, m)
     }
-    val spark = sessionOf(ann)
-    import spark.implicits._
-    rows.toDF("q_table", "q_col", "t_table", "t_col", "col_match")
+    ServingView.localFrame(sessionOf(ann), ColumnScoreSchema, rows)
   }
+
+  private val EdgeSchema = ServingView.schema("q_table" -> StringType, "q_a" -> IntegerType,
+    "q_b" -> IntegerType, "t_table" -> StringType, "t_a" -> IntegerType, "t_b" -> IntegerType,
+    "pm" -> DoubleType)
+  private val ColumnScoreSchema = ServingView.schema("q_table" -> StringType, "q_col" -> IntegerType,
+    "t_table" -> StringType, "t_col" -> IntegerType, "col_match" -> DoubleType)
 
   private def sessionOf(ann: QueryAnnotation): SparkSession =
     Seq(ann.kbCS, ann.kbRS, ann.synCS, ann.synRS).flatten.head.sparkSession

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.kb.KBIndex
+import repro.lake.LakeSchema
 
 /** Output of the offline pre-processing phase (Sec. 7.3): the node inverted
   * index (annotation → column with CS_CONF) and edge inverted index
@@ -12,17 +13,22 @@ import repro.kb.KBIndex
   * The DataFrames *are* the inverted indexes: `kbCS` keyed by `annotation`
   * answers "which lake columns carry type a". The query phase reads them
   * through [[serving]], their driver-side hash-map form.
+  *
+  * @param shared intermediates the index exposes and releases with its
+  *               members
+  * @param stage  the per-table stage the members are computed from, cached
+  *               only while [[materialize]] runs
   */
 final case class LakeIndex(
     kb: Option[KBIndex],
     kbCS: Option[DataFrame],
     kbRS: Option[DataFrame],
     synth: Option[SynthIndex],
-    shared: Seq[DataFrame] = Seq.empty) {
+    shared: Seq[DataFrame] = Seq.empty,
+    stage: Option[DataFrame] = None) {
 
   def materialize(): this.type = {
-    (kbCS.toSeq ++ kbRS.toSeq).foreach { df => df.persist(); val _ = df.count() }
-    synth.foreach(_.materialize())
+    TableStage.materialize(kbCS.toSeq ++ kbRS.toSeq ++ synth.toSeq.flatMap(_.members), stage)
     this
   }
 
@@ -42,23 +48,22 @@ final case class LakeIndex(
 
 object SemanticIndex {
 
-  /** Runs the pre-processing phase over the lake. The distinct value pairs —
-    * the most expensive intermediate (a per-table self-join) — are computed
-    * once, persisted, and shared between the KB relationship phase and the
-    * synthesized-KB phase.
+  /** Runs the pre-processing phase over the lake: one per-table stage
+    * ([[TableStage]]: KB column and relationship semantics, unary FDs and
+    * the synthesized dictionaries' per-table parts, for every table in one
+    * pass), then the synthesized KB's two cross-table overlaps. The lake's
+    * value pairs are exposed as `shared`, planned but never computed or
+    * cached by the build itself.
     *
     * @param cells    lake cells
     * @param kb       the existing KB (None = SANTOS_Synth variant)
     * @param useSynth whether to build the synthesized KB (false = SANTOS_KB)
     */
   def build(cells: DataFrame, kb: Option[KBIndex], useSynth: Boolean): LakeIndex = {
-    val pairs = repro.lake.LakeSchema.valuePairs(cells).persist()
-    val kbCS = kb.map(k => ColumnSemantics.compute(cells, k, isQuery = false))
-    val kbRS = for (k <- kb; cs <- kbCS)
-      yield RelationshipSemantics.computeFromPairs(pairs, k, cs)
+    val stage = TableStage(cells, kb, annotate = kb.isDefined, synthesize = useSynth)
     val synth =
-      if (useSynth) Some(SynthesizedKB.build(cells, excludeKb = kb, precomputedPairs = Some(pairs)))
-      else None
-    LakeIndex(kb, kbCS, kbRS, synth, shared = Seq(pairs))
+      if (useSynth) Some(SynthesizedKB.fromStage(stage, SynthesizedKB.defaultMaxValueSpread)) else None
+    LakeIndex(kb, kb.map(_ => stage.kbCS), kb.map(_ => stage.kbRS), synth,
+              shared = Seq(LakeSchema.valuePairs(cells)), stage = Some(stage.tables))
   }
 }

@@ -1,6 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.CatalystTypeConverters
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.types.{DataType, StringType, StructField, StructType}
 
 import repro.kb.KBView
 
@@ -72,6 +77,30 @@ object ServingView {
       ColAnn(r.getString(0).intern(), r.getInt(1), r.getString(2).intern(), r.getDouble(3),
              if (withGs) r.getDouble(4) else 1.0)
     }
+  }
+
+  /** A schema of `fields`, typed as `toDF` types tuple fields: strings
+    * nullable, numbers not.
+    */
+  def schema(fields: (String, DataType)*): StructType =
+    StructType(fields.map { case (n, t) => StructField(n, t, nullable = t == StringType) })
+
+  /** A local DataFrame of `rows` under `schema`. It is built from external
+    * rows, so no encoder is derived and no code generated, which keeps the
+    * few the query phase builds per query cheap.
+    */
+  def localFrame(spark: SparkSession, schema: StructType, rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(rows.asJava, schema)
+
+  /** The rows of `df`: read in place when it is a local relation, as
+    * [[localFrame]] builds them, else collected. A collect plans a query and
+    * posts SQL execution events even over local rows.
+    */
+  def rowsOf(df: DataFrame): Seq[Row] = df.queryExecution.analyzed match {
+    case local: LocalRelation =>
+      val toRow = CatalystTypeConverters.createToScalaConverter(df.schema)
+      local.data.map(toRow(_).asInstanceOf[Row])
+    case _ => df.collect().toSeq
   }
 
   /** Collects RS rows (table_id, col_a, col_b, `annCol`, conf). */

@@ -4,7 +4,6 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.kb.KBIndex
-import repro.lake.LakeSchema
 
 /** The synthesized-KB index built from the lake itself (Sec. 5, Sec. 7.2).
   *
@@ -25,9 +24,12 @@ import repro.lake.LakeSchema
   * @param colVals    lake distinct (table_id, col_id, value) — retained so the
   *                   query phase can annotate query columns by overlap
   * @param colSizes   (table_id, col_id, n_distinct)
-  * @param fdPairVals stored value pairs of FD column pairs (post KB exclusion)
+  * @param fdPairVals (table_id, col_a, col_b, value_a, value_b) — stored value
+  *                   pairs of FD column pairs (post KB exclusion)
   * @param pairSizes  (table_id, col_a, col_b, n_pairs) — total distinct value
   *                   pairs per FD pair (the Eq. 6 denominator, pre-exclusion)
+  * @param stage      the per-table stage the members are computed from,
+  *                   cached only while [[materialize]] runs
   */
 final case class SynthIndex(
     synCS: DataFrame,
@@ -35,17 +37,17 @@ final case class SynthIndex(
     colVals: DataFrame,
     colSizes: DataFrame,
     fdPairVals: DataFrame,
-    pairSizes: DataFrame) {
+    pairSizes: DataFrame,
+    stage: Option[DataFrame] = None) {
+
+  def members: Seq[DataFrame] = Seq(synCS, synRS, colVals, colSizes, fdPairVals, pairSizes)
 
   def materialize(): this.type = {
-    Seq(synCS, synRS, colVals, colSizes, fdPairVals, pairSizes).foreach { df =>
-      df.persist(); val _ = df.count()
-    }
+    TableStage.materialize(members, stage)
     this
   }
 
-  def unpersistAll(): Unit =
-    Seq(synCS, synRS, colVals, colSizes, fdPairVals, pairSizes).foreach(_.unpersist())
+  def unpersistAll(): Unit = members.foreach(_.unpersist())
 }
 
 object SynthesizedKB {
@@ -59,6 +61,8 @@ object SynthesizedKB {
               a: org.apache.spark.sql.Column, b: org.apache.spark.sql.Column) =
     concat_ws("#", table, a, b)
 
+  val defaultMaxValueSpread = 1000
+
   /** Builds the synthesized KB over the lake.
     *
     * @param cells     lake cells
@@ -67,30 +71,39 @@ object SynthesizedKB {
     *                  not stored in the synthesized relationship dictionary
     * @param maxValueSpread guard against quadratic blow-up on ubiquitous
     *                  values: a value occurring in more than this many columns
-    *                  is skipped in the overlap join (stopword-like values
-    *                  carry no discriminating signal)
+    *                  is skipped in the column overlap (stopword-like values
+    *                  carry no discriminating signal); it still counts in its
+    *                  columns' sizes
+    * @param precomputedPairs unused: value pairs are derived per table from
+    *                  `cells`; kept for source compatibility
     */
   def build(cells: DataFrame, excludeKb: Option[KBIndex] = None,
-            maxValueSpread: Int = 1000,
-            precomputedPairs: Option[DataFrame] = None): SynthIndex = {
-    val colVals = LakeSchema.distinctColumnValues(cells)
-    val colSizes = colVals.groupBy("table_id", "col_id").agg(count(lit(1)).as("n_distinct"))
+            maxValueSpread: Int = defaultMaxValueSpread,
+            precomputedPairs: Option[DataFrame] = None): SynthIndex =
+    fromStage(TableStage(cells, excludeKb, annotate = false, synthesize = true), maxValueSpread)
+
+  /** The synthesized KB from a per-table stage built with `synthesize`: the
+    * sizes, stored value pairs and self annotations are the stage's; the
+    * cross-table overlaps (Eq. 5, Eq. 6) are one exchange of the values (value
+    * pairs) followed by a count per column (pair) pair. Every row carries its
+    * own column's (pair's) size, so no join with the sizes is needed.
+    */
+  private[core] def fromStage(stage: TableStage, maxValueSpread: Int): SynthIndex = {
+    val spark = stage.tables.sparkSession
+    import spark.implicits._
 
     // ---- synthesized type dictionary (Eq. 5) ----
-    val spreadOk = colVals
-      .groupBy("value").agg(count(lit(1)).as("n_cols"))
-      .filter(col("n_cols") <= maxValueSpread)
-      .select("value")
-    val cv = colVals.join(spreadOk, Seq("value"), "left_semi")
-    val a = cv.select(col("table_id").as("ta"), col("col_id").as("ca"), col("value"))
-    val b = cv.select(col("table_id").as("tb"), col("col_id").as("cb"), col("value"))
-    val overlaps = a.join(b, Seq("value"))
-      .filter(col("ta") =!= col("tb") || col("ca") =!= col("cb"))
-      .groupBy("ta", "ca", "tb", "cb")
+    val colVals = stage.colVals
+    val colSizes = stage.colSizes
+    val crossCS = colVals.as[(String, Int, String, Long)].groupByKey(_._3)
+      .flatMapGroups { (_, it) =>
+        val cols = it.toVector
+        if (cols.size > maxValueSpread) Iterator.empty
+        else for (a <- cols.iterator; b <- cols.iterator if a._1 != b._1 || a._2 != b._2)
+          yield (a._1, a._2, a._4, b._1, b._2)
+      }.toDF("ta", "ca", "n_distinct", "tb", "cb")
+      .groupBy("ta", "ca", "n_distinct", "tb", "cb")
       .agg(count(lit(1)).as("n_ov"))
-    val crossCS = overlaps
-      .join(colSizes.withColumnRenamed("table_id", "ta_s").withColumnRenamed("col_id", "ca_s"),
-            col("ta") === col("ta_s") && col("ca") === col("ca_s"))
       .select(col("ta").as("table_id"), col("ca").as("col_id"),
               colKey(col("tb"), col("cb")).as("annotation"),
               (col("n_ov") / col("n_distinct")).as("conf"))
@@ -101,43 +114,28 @@ object SynthesizedKB {
     val synCS = selfCS.union(crossCS)
 
     // ---- synthesized relationship dictionary (Eq. 6, Sec. 7.2) ----
-    val allPairs = precomputedPairs.getOrElse(LakeSchema.valuePairs(cells))
-    val fdPairs = FDDiscovery.meaningfulPairs(FDDiscovery.unaryFds(allPairs))
-    val fdVals = allPairs.join(fdPairs, Seq("table_id", "col_a", "col_b"), "left_semi")
-    // Eq. 6 denominator: total pairs of the column pair (before KB exclusion).
-    val pairSizes = fdVals.groupBy("table_id", "col_a", "col_b")
-      .agg(count(lit(1)).as("n_pairs"))
-    // Store only pairs the existing KB does not already explain.
-    val kept = excludeKb match {
-      case Some(kb) =>
-        val known = kb.relDict.select(
-          col("label_subj").as("value_a"), col("label_obj").as("value_b")).distinct()
-        fdVals.join(known, Seq("value_a", "value_b"), "left_anti")
-      case None => fdVals
-    }
-
-    val pa = kept.select(col("table_id").as("ta"), col("col_a").as("caa"),
-                         col("col_b").as("cab"), col("value_a"), col("value_b"))
-    val pb = kept.select(col("table_id").as("tb"), col("col_a").as("cba"),
-                         col("col_b").as("cbb"), col("value_a"), col("value_b"))
-    val pairOverlaps = pa.join(pb, Seq("value_a", "value_b"))
-      .filter(col("ta") =!= col("tb") || col("caa") =!= col("cba") || col("cab") =!= col("cbb"))
-      .groupBy("ta", "caa", "cab", "tb", "cba", "cbb")
+    val kept = stage.fdPairVals
+    val fdPairs = stage.fdPairs
+    val crossRS = kept.as[(String, Int, Int, String, String, Long)].groupByKey(p => (p._4, p._5))
+      .flatMapGroups { (_, it) =>
+        val ps = it.toVector
+        for (a <- ps.iterator; b <- ps.iterator if a._1 != b._1 || a._2 != b._2 || a._3 != b._3)
+          yield (a._1, a._2, a._3, a._6, b._1, b._2, b._3)
+      }.toDF("ta", "caa", "cab", "n_pairs", "tb", "cba", "cbb")
+      .groupBy("ta", "caa", "cab", "n_pairs", "tb", "cba", "cbb")
       .agg(count(lit(1)).as("n_ov"))
-    val crossRS = pairOverlaps
-      .join(pairSizes.select(col("table_id").as("ta_s"), col("col_a").as("caa_s"),
-                             col("col_b").as("cab_s"), col("n_pairs")),
-            col("ta") === col("ta_s") && col("caa") === col("caa_s") && col("cab") === col("cab_s"))
       .select(col("ta").as("table_id"), col("caa").as("col_a"), col("cab").as("col_b"),
               pairKey(col("tb"), col("cba"), col("cbb")).as("annotation"),
               (col("n_ov") / col("n_pairs")).as("conf"))
-    val selfRS = kept.select("table_id", "col_a", "col_b").distinct()
+    // Self annotations only for pairs that keep a value pair after exclusion.
+    val selfRS = fdPairs.filter(col("n_kept") > 0)
       .select(col("table_id"), col("col_a"), col("col_b"),
               pairKey(col("table_id"), col("col_a"), col("col_b")).as("annotation"),
               lit(1.0).as("conf"))
     val synRS = selfRS.union(crossRS)
 
-    SynthIndex(synCS, synRS, colVals, colSizes, kept, pairSizes)
+    SynthIndex(synCS, synRS, colVals.drop("n_distinct"), colSizes, kept.drop("n_pairs"),
+               fdPairs.drop("n_kept"), Some(stage.tables))
   }
 
   /** Per-value-pair type scores of the Synthesized Relationship Dictionary

@@ -57,7 +57,7 @@ object UnionSearch {
     * than k results; the metrics treat the missing slots as misses, Sec. 8.1).
     */
   def searchAll(trees: Seq[QueryTree], edgeScores: DataFrame, k: Int): Map[String, Seq[Ranked]] = {
-    val collected: Seq[EdgeScore] = edgeScores.collect().toSeq.map { r =>
+    val collected: Seq[EdgeScore] = ServingView.rowsOf(edgeScores).map { r =>
       EdgeScore(
         r.getAs[String]("q_table"), r.getAs[Int]("q_a"), r.getAs[Int]("q_b"),
         r.getAs[String]("t_table"), r.getAs[Int]("t_a"), r.getAs[Int]("t_b"),
@@ -80,7 +80,7 @@ object UnionSearch {
     * No intent anchoring, no relationships.
     */
   def searchColumnOnly(queryIds: Seq[String], colScores: DataFrame, k: Int): Map[String, Seq[Ranked]] = {
-    val collected = colScores.collect().toSeq.map { r =>
+    val collected = ServingView.rowsOf(colScores).map { r =>
       (r.getAs[String]("q_table"), r.getAs[Int]("q_col"),
        r.getAs[String]("t_table"), r.getAs[Int]("t_col"), r.getAs[Double]("col_match"))
     }

@@ -76,11 +76,17 @@ object Harness {
   /** Local-run tuning: the lite lakes are small, so adaptive execution with
     * partition coalescing removes most fixed shuffle overhead, and a low
     * shuffle-partition count keeps per-task scheduling overhead from
-    * dominating the many-join SANTOS dataflow.
+    * dominating the many-join SANTOS dataflow. Cached plans are planned
+    * adaptively too, and bucketed scans (no lake table is bucketed) are
+    * left as planned, so `persist()` plans in the caller's session instead
+    * of in a fresh clone of it per persisted DataFrame, each of which
+    * removes its artifact directory with a child process once collected.
     */
   def tuneSpark(spark: SparkSession): Unit = {
     spark.conf.set("spark.sql.adaptive.enabled", "true")
     spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "true")
+    spark.conf.set("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", "true")
+    spark.conf.set("spark.sql.sources.bucketing.autoBucketedScan.enabled", "false")
     spark.conf.set("spark.sql.shuffle.partitions",
                    sys.env.getOrElse("SANTOS_SHUFFLE_PARTITIONS", "8"))
   }

@@ -1,7 +1,9 @@
 package repro.kb
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import scala.util.Random
 
 /** Knobs for building a (possibly degraded) KB index.
@@ -24,46 +26,67 @@ final case class KBConfig(
     sampleSeed: Long = 17L,
     noiseSeed: Long = 23L)
 
-/** The paper's four KB dictionaries (Sec. 7.1) materialized as DataFrames.
+/** The paper's four KB dictionaries (Sec. 7.1) as DataFrames, each built on
+  * first use (indexing and the query phase read [[view]] instead).
   *
-  * @param labels         entity dictionary: (label, entity_id) — canonical and
+  * @param labelsDf       entity dictionary: (label, entity_id) — canonical and
   *                       alternate names, lower-cased
-  * @param typeDict       type dictionary expanded through the hierarchy:
+  * @param typeDictDf     type dictionary expanded through the hierarchy:
   *                       (label, type_id, top_level, gs); one row per
   *                       (label, ancestor-or-self type) of any entity with that
   *                       label. gs is the Eq. (2) granularity score.
-  * @param relDict        relationship dictionary: (label_subj, label_obj,
+  * @param relDictDf      relationship dictionary: (label_subj, label_obj,
   *                       predicate, pred_pairs) for every labeled fact;
   *                       pred_pairs is the predicate's KB pair count, used for
   *                       the Eq. (4) rarer-predicate tie-break
-  * @param coveredLabels  distinct labels present in the KB (defines "mapped to
+  * @param coveredLabelsDf distinct labels present in the KB (defines "mapped to
   *                       the KB" for Eq. 1 and Eq. 4 denominators)
   * @param topLevelCounts entities per top-level type (majority tie-break of
   *                       Sec. 4.1 footnote 3: rarer top-level wins)
+  * @param builtView      the dictionaries as a [[KBView]], when they were
+  *                       built from rows at hand (`KBDictionaries.build`);
+  *                       otherwise [[view]] collects them on first use
   */
 final class KBIndex(
-    val labels: DataFrame,
-    val typeDict: DataFrame,
-    val relDict: DataFrame,
-    val coveredLabels: DataFrame,
+    labelsDf: => DataFrame,
+    typeDictDf: => DataFrame,
+    relDictDf: => DataFrame,
+    coveredLabelsDf: => DataFrame,
     val topLevelCounts: Map[String, Long],
-    val typeGs: Map[String, Double]) extends Serializable {
+    val typeGs: Map[String, Double],
+    builtView: Option[KBView] = None) extends Serializable {
 
-  /** Persist and force all dictionaries (indexing is a timed phase). */
+  lazy val labels: DataFrame = labelsDf
+  lazy val typeDict: DataFrame = typeDictDf
+  lazy val relDict: DataFrame = relDictDf
+  lazy val coveredLabels: DataFrame = coveredLabelsDf
+
+  /** Forces what indexing reads (indexing is a timed phase): [[view]] and
+    * its broadcast.
+    */
   def materialize(): this.type = {
-    Seq(labels, typeDict, relDict, coveredLabels).foreach { df =>
-      df.persist(); val _ = df.count()
-    }
+    val _ = broadcastView
     this
   }
 
-  def unpersistAll(): Unit =
-    Seq(labels, typeDict, relDict, coveredLabels).foreach(_.unpersist())
-
-  /** The dictionaries the query phase reads, as driver-side hash maps.
-    * Collected on first use, so offline flows that never query skip it.
+  /** Releases the executors' copies of [[broadcastView]]; the driver keeps
+    * its own, so lineage cached over the view can still recompute.
     */
-  @transient lazy val view: KBView = KBView.collect(this)
+  def unpersistAll(): Unit =
+    if (broadcastUsed) broadcastView.unpersist()
+
+  /** The dictionaries as driver-side hash maps, read by the query phase and,
+    * through [[broadcastView]], by the per-table indexing kernel.
+    */
+  @transient lazy val view: KBView = builtView.getOrElse(KBView.collect(this))
+
+  @transient @volatile private var broadcastUsed = false
+
+  /** [[view]] broadcast to the executors, once per KB. */
+  @transient lazy val broadcastView: Broadcast[KBView] = {
+    broadcastUsed = true
+    SparkContext.getOrCreate().broadcast(view)
+  }
 }
 
 /** One type of a label in the type dictionary. */
@@ -83,21 +106,42 @@ final class KBView(
     val types: Map[String, Seq[KBType]],
     val covered: Set[String],
     val predicates: Map[(String, String), Seq[KBPredicate]],
-    val topLevelCounts: Map[String, Long])
+    val topLevelCounts: Map[String, Long]) extends Serializable
 
 object KBView {
-  def collect(kb: KBIndex): KBView = {
-    val types = kb.typeDict.select("label", "type_id", "top_level", "gs").collect()
-      .map(r => r.getString(0) -> KBType(r.getString(1).intern(), r.getString(2).intern(), r.getDouble(3)))
-    val covered = kb.coveredLabels.select("label").collect().map(_.getString(0))
-    val preds = kb.relDict.select("label_subj", "label_obj", "predicate", "pred_pairs").collect()
-      .map(r => (r.getString(0), r.getString(1)) -> KBPredicate(r.getString(2).intern(), r.getLong(3)))
+
+  /** Builds the view from dictionary rows: `typeRows` as `typeDict`,
+    * `relRows` as `relDict`, `covered` as `coveredLabels`. Equal types and
+    * predicates share one instance, which keeps the view small on the heap
+    * and in its broadcast.
+    */
+  def of(typeRows: Seq[(String, String, String, Double)],
+         relRows: Seq[(String, String, String, Long)],
+         covered: Iterable[String],
+         topLevelCounts: Map[String, Long]): KBView = {
+    val types = mutable.HashMap.empty[KBType, KBType]
+    val preds = mutable.HashMap.empty[KBPredicate, KBPredicate]
     new KBView(
-      types.toSeq.distinct.groupMap(_._1)(_._2),
+      typeRows.distinct.groupMap(_._1) { case (_, t, top, gs) =>
+        val ty = KBType(t, top, gs)
+        types.getOrElseUpdate(ty, ty)
+      },
       covered.toSet,
-      preds.toSeq.distinct.groupMap(_._1)(_._2),
-      kb.topLevelCounts)
+      relRows.distinct.groupMap(r => (r._1, r._2)) { case (_, _, p, n) =>
+        val pred = KBPredicate(p, n)
+        preds.getOrElseUpdate(pred, pred)
+      },
+      topLevelCounts)
   }
+
+  /** Collects the view from the dictionary DataFrames, one Spark job each. */
+  def collect(kb: KBIndex): KBView =
+    of(kb.typeDict.select("label", "type_id", "top_level", "gs").collect().toSeq
+         .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getDouble(3))),
+       kb.relDict.select("label_subj", "label_obj", "predicate", "pred_pairs").collect().toSeq
+         .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getLong(3))),
+       kb.coveredLabels.select("label").collect().map(_.getString(0)),
+       kb.topLevelCounts)
 }
 
 object KBDictionaries {
@@ -111,7 +155,8 @@ object KBDictionaries {
     1.0 / math.max(1.0, math.log10(entityCount.toDouble))
 
   /** Builds the four dictionaries from the synthetic world on the driver
-    * (the world is small) and ships them as DataFrames.
+    * (the world is small), as the [[KBView]] and, on first use, as
+    * DataFrames.
     */
   def build(spark: SparkSession, world: World, config: KBConfig = KBConfig()): KBIndex = {
     import spark.implicits._
@@ -152,7 +197,6 @@ object KBDictionaries {
     // 4. Entity dictionary: canonical + alternate labels.
     val labelRows: Seq[(String, Long)] =
       kept.flatMap(e => (e.label +: e.altLabels).map(l => (l, e.id)))
-    val labels = labelRows.toDF("label", "entity_id")
 
     // 5. Type dictionary: label -> every self-or-ancestor type with gs.
     val typeDictRows: Seq[(String, String, String, Double)] = labelRows.flatMap {
@@ -162,7 +206,6 @@ object KBDictionaries {
           (label, t, world.topLevelOf(t), gs(t))
         }
     }.distinct
-    val typeDict = typeDictRows.toDF("label", "type_id", "top_level", "gs")
 
     // 6. Relationship dictionary over kept entities (and kept predicates).
     val keptFacts = world.facts.filter { f =>
@@ -181,10 +224,14 @@ object KBDictionaries {
         lo <- labelsById(f.obj)
       } yield (ls, lo, f.predicate, predPairs(f.predicate))
     }.distinct
-    val relDict = relRows.toDF("label_subj", "label_obj", "predicate", "pred_pairs")
+    val coveredRows = labelRows.map(_._1).distinct
 
-    val covered = labels.select("label").distinct()
-
-    new KBIndex(labels, typeDict, relDict, covered, topLevelCounts, gs)
+    new KBIndex(
+      labelRows.toDF("label", "entity_id"),
+      typeDictRows.toDF("label", "type_id", "top_level", "gs"),
+      relRows.toDF("label_subj", "label_obj", "predicate", "pred_pairs"),
+      coveredRows.toDF("label"),
+      topLevelCounts, gs,
+      Some(KBView.of(typeDictRows, relRows, coveredRows, topLevelCounts)))
   }
 }

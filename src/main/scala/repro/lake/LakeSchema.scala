@@ -1,7 +1,9 @@
 package repro.lake
 
+import scala.collection.mutable
+
 import com.ibm.icu.lang.UCharacter
-import org.apache.spark.sql.{DataFrame, SparkSession, Row}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -13,9 +15,11 @@ import org.apache.spark.sql.types._
   *
   * {{{ (table_id, col_id, col_name, row_id, value, is_string) }}}
   *
-  * Every SANTOS phase (column semantics, relationship semantics, FD mining,
-  * the synthesized KB) is then a scan/join/aggregate over this one relation —
-  * the distributed-dataflow formulation of the paper's per-table loops.
+  * SANTOS's offline phases (column semantics, relationship semantics, FD
+  * mining, sizing the synthesized dictionaries) each look at one table at a
+  * time, so they run as one shuffle of the string cells by `table_id`
+  * ([[perTable]]) followed by plain Scala over each table's
+  * [[TableCells]]; only the synthesized overlaps compare tables.
   */
 object LakeSchema {
 
@@ -59,7 +63,10 @@ object LakeSchema {
     }
   }
 
-  /** Builds the cells DataFrame for a batch of tables. */
+  /** Builds the cells DataFrame for a batch of tables. The rows are
+    * checkpointed into block storage at once, so a task over them ships only
+    * its partition's id, not the partition's rows.
+    */
   def cellsOf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
     val rows = tables.iterator.flatMap { t =>
       t.rows.iterator.zipWithIndex.flatMap { case (row, rid) =>
@@ -69,6 +76,7 @@ object LakeSchema {
       }
     }.toSeq
     spark.createDataFrame(spark.sparkContext.parallelize(rows, math.max(1, rows.size / 50000)), cellSchema)
+      .localCheckpoint(eager = true)
   }
 
   /** Normalized, non-null string cells — the input to every semantic phase. */
@@ -83,23 +91,52 @@ object LakeSchema {
   def distinctColumnValues(cells: DataFrame): DataFrame =
     stringCells(cells).select("table_id", "col_id", "value").distinct()
 
+  /** One table's normalized string cells `(col_id, row_id, value)`, and the
+    * two views of them every per-table phase reads.
+    */
+  final class TableCells(cells: Iterable[(Int, Long, String)]) {
+
+    /** Distinct values per column. */
+    lazy val colVals: Map[Int, Set[String]] =
+      cells.groupMapReduce(_._1)(c => Set(c._3))(_ ++ _)
+
+    /** Distinct ordered value pairs per ordered pair of distinct columns of
+      * one row. Both orientations are kept because KB predicates are
+      * directed (Sec. 4.3: both RS(c1,c2) and RS(c2,c1) are preserved for
+      * lake tables).
+      */
+    lazy val pairs: Map[(Int, Int), Set[(String, String)]] = {
+      val acc = mutable.HashMap.empty[(Int, Int), mutable.HashSet[(String, String)]]
+      cells.groupBy(_._2).valuesIterator.foreach { row =>
+        for (x <- row; y <- row if x._1 != y._1)
+          acc.getOrElseUpdate((x._1, y._1), mutable.HashSet.empty) += ((x._3, y._3))
+      }
+      acc.view.mapValues(_.toSet).toMap
+    }
+  }
+
+  /** Runs `f` on every table of `cells`, on the executors: one shuffle of
+    * the normalized string cells by `table_id`, then `f` on each table's
+    * [[TableCells]].
+    */
+  def perTable[A: Encoder](cells: DataFrame)(f: (String, TableCells) => IterableOnce[A]): Dataset[A] = {
+    val spark = cells.sparkSession
+    import spark.implicits._
+    stringCells(cells).select("table_id", "col_id", "row_id", "value")
+      .as[(String, Int, Long, String)].groupByKey(_._1)
+      .flatMapGroups { (t, it) => f(t, new TableCells(it.map(c => (c._2, c._3, c._4)).toVector)) }
+  }
+
   /** Distinct ordered value pairs per string-column pair within each table:
-    * (table_id, col_a, col_b, value_a, value_b) with col_a != col_b. Both
-    * orientations are emitted because KB predicates are directed (Sec. 4.3:
-    * both RS(c1,c2) and RS(c2,c1) are preserved for lake tables).
+    * (table_id, col_a, col_b, value_a, value_b) with col_a != col_b, as
+    * [[TableCells.pairs]] gives them.
     */
   def valuePairs(cells: DataFrame): DataFrame = {
-    val sc = stringCells(cells)
-    val a = sc.select(
-      col("table_id"), col("row_id"),
-      col("col_id").as("col_a"), col("value").as("value_a"))
-    val b = sc.select(
-      col("table_id").as("tb"), col("row_id").as("rb"),
-      col("col_id").as("col_b"), col("value").as("value_b"))
-    a.join(b, col("table_id") === col("tb") && col("row_id") === col("rb") &&
-             col("col_a") =!= col("col_b"))
-      .select("table_id", "col_a", "col_b", "value_a", "value_b")
-      .distinct()
+    val spark = cells.sparkSession
+    import spark.implicits._
+    perTable(cells) { (t, tc) =>
+      tc.pairs.iterator.flatMap { case ((a, b), vs) => vs.iterator.map { case (va, vb) => (t, a, b, va, vb) } }
+    }.toDF("table_id", "col_a", "col_b", "value_a", "value_b")
   }
 
   /** Per-column profile of the lake: (table_id, col_id, col_name, is_string). */

@@ -1,9 +1,5 @@
 package repro.integration
 
-import java.util.concurrent.atomic.AtomicLong
-
-import org.apache.spark.repro.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 
@@ -130,21 +126,10 @@ class ServingPathSpec extends SparkSpec {
     val Seq(first, second) = trapBench.queries.take(2)
     search(first, persistAnnotations = false) // warms the serving view
 
-    val sc = spark.sparkContext
-    val jobs = new AtomicLong()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
+    for (persist <- Seq(false, true)) {
+      val (ranked, jobs) = SparkJobs.count(spark.sparkContext)(search(second, persist))
+      assert(ranked(second.tableId).nonEmpty)
+      assert(jobs <= 1, s"$jobs Spark jobs for one warm query (persisted: $persist)")
     }
-    ListenerBusAccess.drain(sc)
-    sc.addSparkListener(listener)
-    try {
-      for (persist <- Seq(false, true)) {
-        jobs.set(0)
-        val ranked = search(second, persist)
-        ListenerBusAccess.drain(sc)
-        assert(ranked(second.tableId).nonEmpty)
-        assert(jobs.get() <= 1, s"${jobs.get()} Spark jobs for one warm query (persisted: $persist)")
-      }
-    } finally sc.removeSparkListener(listener)
   }
 }
