@@ -25,6 +25,7 @@ import repro.lake.LakeSchema
 object ColumnSemantics {
 
   /** Computes CS for every string column of every table in `cells`.
+    * Kept for perfbench's `Pipeline`; remove with ROADMAP item 1.
     *
     * @param cells   lake or query tables in cells form
     * @param kb      the KB dictionaries

@@ -12,6 +12,7 @@ import org.apache.spark.sql.DataFrame
 object FDDiscovery {
 
   /** All unary FDs: (table_id, col_det, col_dep) with col_det -> col_dep.
+    * Kept for perfbench's `Pipeline`; remove with ROADMAP item 1.
     *
     * @param valuePairs distinct ordered value pairs per column pair, as
     *                   produced by [[repro.lake.LakeSchema.valuePairs]]
@@ -24,19 +25,5 @@ object FDDiscovery {
       .flatMapGroups { (t, ps) =>
         TableKernel.unaryFds(TableKernel.pairsOf(ps)).map { case (d, e) => (t, d, e) }
       }.toDF("table_id", "col_det", "col_dep")
-  }
-
-  /** Ordered column pairs qualifying for a synthesized relationship: the FD
-    * holds in at least one direction (the paper keeps column pairs "in a
-    * functional dependency"). Both orientations of a qualifying pair are
-    * emitted, consistent with [[repro.lake.LakeSchema.valuePairs]].
-    */
-  def meaningfulPairs(fds: DataFrame): DataFrame = {
-    val spark = fds.sparkSession
-    import spark.implicits._
-    fds.select("table_id", "col_det", "col_dep").as[(String, Int, Int)].groupByKey(_._1)
-      .flatMapGroups { (t, it) =>
-        TableKernel.meaningfulPairs(it.map(f => (f._2, f._3)).toSeq).map { case (a, b) => (t, a, b) }
-      }.toDF("table_id", "col_a", "col_b")
   }
 }

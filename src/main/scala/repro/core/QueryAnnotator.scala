@@ -2,43 +2,53 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType, StructType}
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
 
 import repro.lake.LakeSchema
 import repro.lake.LakeSchema.TableCells
 
-/** Semantic annotation of query tables (the online half of Fig. 4).
+/** Semantic annotation of query tables (the online half of Fig. 4), as the
+  * driver-side rows [[QueryAnnotator.annotate]] computes.
   *
   * Query CS from the KB uses fs only (Eq. 3, second case — the gs penalty is
   * applied once, on the lake side). Query annotations from the synthesized KB
   * are overlaps against *lake* columns / lake FD column pairs, so they share
   * the lake's annotation vocabulary and match through the inverted indexes.
+  * A `None` member mirrors the disabled method of the index.
+  *
+  * @param kbColumns  KB CS: (table, column type)
+  * @param kbPairs    KB RS, annotated by predicate
+  * @param synColumns synthesized CS, annotated by lake column key
+  * @param synPairs   synthesized RS, annotated by lake pair key
   */
 final case class QueryAnnotation(
-    kbCS: Option[DataFrame],  // (table_id, col_id, annotation, top_level, fs, gs, conf)
-    kbRS: Option[DataFrame],  // (table_id, col_a, col_b, predicate, conf)
-    synCS: Option[DataFrame], // (table_id, col_id, annotation, conf)
-    synRS: Option[DataFrame], // (table_id, col_a, col_b, annotation, conf)
-    rows: Option[AnnotationRows] = None) {
+    kbColumns: Option[Seq[(String, ColumnType)]],
+    kbPairs: Option[Seq[PairAnn]],
+    synColumns: Option[Seq[ColAnn]],
+    synPairs: Option[Seq[PairAnn]]) {
 
-  // Each annotation as driver-side rows: the ones `annotate` computed, else
-  // collected from its DataFrame.
-  def kbCSRows: Option[Seq[ColAnn]] = rows.fold(kbCS.map(ServingView.colAnns(_, withGs = false)))(_.kbCS)
-  def kbRSRows: Option[Seq[PairAnn]] = rows.fold(kbRS.map(ServingView.pairAnns(_, "predicate")))(_.kbRS)
-  def synCSRows: Option[Seq[ColAnn]] = rows.fold(synCS.map(ServingView.colAnns(_, withGs = false)))(_.synCS)
-  def synRSRows: Option[Seq[PairAnn]] = rows.fold(synRS.map(ServingView.pairAnns(_, "annotation")))(_.synRS)
+  // The same rows as local DataFrames, built on first use; the query phase
+  // itself never reads them.
+  lazy val kbCS: Option[DataFrame] = kbColumns.map(rs => ServingView.localFrame(QueryAnnotation.KbCSSchema,
+    rs.map { case (t, r) => Row(t, r.col, r.annotation, r.topLevel, r.fs, r.gs, r.conf) }))
+  lazy val kbRS: Option[DataFrame] = kbPairs.map(pairFrame("predicate", _))
+  lazy val synCS: Option[DataFrame] = synColumns.map(rs => ServingView.localFrame(QueryAnnotation.SynCSSchema,
+    rs.map(r => Row(r.table, r.col, r.annotation, r.conf))))
+  lazy val synRS: Option[DataFrame] = synPairs.map(pairFrame("annotation", _))
+
+  private def pairFrame(annCol: String, rs: Seq[PairAnn]): DataFrame = ServingView.localFrame(
+    QueryAnnotation.pairSchema(annCol), rs.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf)))
 }
 
-/** The annotations of a [[QueryAnnotation]] as the driver-side rows
-  * [[QueryAnnotator.annotate]] computed them from, so scoring need not
-  * collect the DataFrames again (a persisted DataFrame costs a Spark job per
-  * collect, even over local data).
-  */
-final case class AnnotationRows(
-    kbCS: Option[Seq[ColAnn]],
-    kbRS: Option[Seq[PairAnn]],
-    synCS: Option[Seq[ColAnn]],
-    synRS: Option[Seq[PairAnn]])
+object QueryAnnotation {
+  private val KbCSSchema = ServingView.schema("table_id" -> StringType, "col_id" -> IntegerType,
+    "annotation" -> StringType, "top_level" -> StringType, "fs" -> DoubleType, "gs" -> DoubleType,
+    "conf" -> DoubleType)
+  private val SynCSSchema = ServingView.schema("table_id" -> StringType, "col_id" -> IntegerType,
+    "annotation" -> StringType, "conf" -> DoubleType)
+  private def pairSchema(annCol: String) = ServingView.schema("table_id" -> StringType,
+    "col_a" -> IntegerType, "col_b" -> IntegerType, annCol -> StringType, "conf" -> DoubleType)
+}
 
 /** The query semantic tree (Sec. 3): BFS edges (parent, child) rooted at the
   * intent column, over columns connected by any non-empty RS.
@@ -55,12 +65,13 @@ object QueryAnnotator {
     * the index's [[LakeIndex.serving]] view: the KB ones by the lake side's
     * kernel ([[TableKernel.columnSemantics]] with `isQuery = true`,
     * [[TableKernel.relationshipSemantics]]), the synthesized ones as overlaps
-    * with the lake's columns and FD pairs. They are returned both as
-    * driver-side rows and as local DataFrames.
+    * with the lake's columns and FD pairs.
+    *
+    * The DataFrame input is kept for perfbench's `Pipeline`; remove with
+    * ROADMAP item 1.
     */
   def annotate(queryCells: DataFrame, index: LakeIndex): QueryAnnotation = {
     val view = index.serving
-    val spark = queryCells.sparkSession
     val tables: Seq[(String, TableCells)] =
       queryCells.filter(col("is_string")).select("table_id", "col_id", "row_id", "value")
         .collect().toSeq
@@ -75,8 +86,6 @@ object QueryAnnotator {
         (cs.map(t -> _), rs.map(r => PairAnn(t, r.a, r.b, r.predicate, r.conf)))
       }
     }
-    val kbCS = kbAnn.map(_.flatMap(_._1))
-    val kbRS = kbAnn.map(_.flatMap(_._2))
 
     val synCS = view.synth.map { s =>
       for ((t, tc) <- tables; (c, values) <- tc.colVals.toSeq; ((lt, lc), n) <- overlaps(values, s.colVals))
@@ -88,24 +97,8 @@ object QueryAnnotator {
         yield PairAnn(t, a, b, s"$lt#$la#$lb", n.toDouble / values.size)
     }
 
-    def frame(schema: StructType, rows: Seq[Row]) = ServingView.localFrame(spark, schema, rows)
-    QueryAnnotation(
-      kbCS.map(rs => frame(KbCSSchema,
-        rs.map { case (t, r) => Row(t, r.col, r.annotation, r.topLevel, r.fs, r.gs, r.conf) })),
-      kbRS.map(rs => frame(pairSchema("predicate"), rs.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf)))),
-      synCS.map(rs => frame(SynCSSchema, rs.map(r => Row(r.table, r.col, r.annotation, r.conf)))),
-      synRS.map(rs => frame(pairSchema("annotation"), rs.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf)))),
-      Some(AnnotationRows(
-        kbCS.map(_.map { case (t, r) => ColAnn(t, r.col, r.annotation, r.conf) }), kbRS, synCS, synRS)))
+    QueryAnnotation(kbAnn.map(_.flatMap(_._1)), kbAnn.map(_.flatMap(_._2)), synCS, synRS)
   }
-
-  private val KbCSSchema = ServingView.schema("table_id" -> StringType, "col_id" -> IntegerType,
-    "annotation" -> StringType, "top_level" -> StringType, "fs" -> DoubleType, "gs" -> DoubleType,
-    "conf" -> DoubleType)
-  private val SynCSSchema = ServingView.schema("table_id" -> StringType, "col_id" -> IntegerType,
-    "annotation" -> StringType, "conf" -> DoubleType)
-  private def pairSchema(annCol: String) = ServingView.schema("table_id" -> StringType,
-    "col_a" -> IntegerType, "col_b" -> IntegerType, annCol -> StringType, "conf" -> DoubleType)
 
   /** |q ∩ l| for every lake entry l sharing a key with the query set q. */
   private def overlaps[K, L](keys: Set[K], index: Map[K, Seq[L]]): Map[L, Int] =
@@ -118,7 +111,7 @@ object QueryAnnotator {
     */
   def queryTrees(ann: QueryAnnotation, intents: Map[String, Int]): Seq[QueryTree] = {
     val rsEdges: Seq[(String, Int, Int)] =
-      (ann.kbRSRows.toSeq ++ ann.synRSRows.toSeq).flatten.map(r => (r.table, r.a, r.b)).distinct
+      (ann.kbPairs.toSeq ++ ann.synPairs.toSeq).flatten.map(r => (r.table, r.a, r.b)).distinct
     val byTable: Map[String, Seq[(Int, Int)]] =
       rsEdges.groupBy(_._1).map { case (t, xs) => t -> xs.map(x => (x._2, x._3)) }
 

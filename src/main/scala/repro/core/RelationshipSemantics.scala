@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 
 import repro.kb.KBIndex
-import repro.lake.LakeSchema
 
 /** KB-based relationship semantics (Sec. 4.3).
   *
@@ -27,11 +26,10 @@ import repro.lake.LakeSchema
   */
 object RelationshipSemantics {
 
-  def compute(cells: DataFrame, kb: KBIndex, cs: DataFrame): DataFrame =
-    computeFromPairs(LakeSchema.valuePairs(cells), kb, cs)
-
-  /** Variant taking value pairs as [[LakeSchema.valuePairs]] gives them; they
-    * are grouped by table together with the columns that have CS.
+  /** Scores value pairs as [[repro.lake.LakeSchema.valuePairs]] gives them; they are
+    * grouped by table together with the columns that have CS.
+    *
+    * Kept for perfbench's `Pipeline`; remove with ROADMAP item 1.
     */
   def computeFromPairs(valuePairs: DataFrame, kb: KBIndex, cs: DataFrame): DataFrame = {
     val spark = valuePairs.sparkSession

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType}
 
 /** The SANTOS unionability scoring dataflow (Sec. 6).
@@ -118,46 +118,44 @@ object Scoring {
     * per-method colMatch/relMatch/pairMatch, inter-method combination, and
     * orientation closure, as a local DataFrame
     * (q_table, q_a, q_b, t_table, t_a, t_b, pm).
+    *
+    * The DataFrame result is kept for perfbench's `Pipeline`; remove with
+    * ROADMAP item 1.
     */
   def edgeScores(ann: QueryAnnotation, index: LakeIndex): DataFrame = {
     val view = index.serving
     val pmKb = for {
-      qcs <- ann.kbCSRows; qrs <- ann.kbRSRows
+      qcs <- kbColAnns(ann); qrs <- ann.kbPairs
       tcs <- view.kbCS; trs <- view.kbRS
     } yield pairMatch(colMatch(qcs, tcs), relMatch(qrs, trs))
     val pmSy = for {
-      qcs <- ann.synCSRows; qrs <- ann.synRSRows
+      qcs <- ann.synColumns; qrs <- ann.synPairs
       s <- view.synth
     } yield pairMatch(colMatch(qcs, s.cs), relMatch(qrs, s.rs))
     val rows = orientMax(combine(pmKb, pmSy)).toSeq.map { case (e, pm) =>
       Row(e.qTable, e.qA, e.qB, e.tTable, e.tA, e.tB, pm)
     }
-    ServingView.localFrame(sessionOf(ann), EdgeSchema, rows)
+    ServingView.localFrame(EdgeSchema, rows)
   }
 
   /** Column-only match scores (for the SANTOS_Col variant mentioned in
-    * Sec. 8.2): best per-method colMatch per (query column, lake column), as
-    * a local DataFrame (q_table, q_col, t_table, t_col, col_match).
+    * Sec. 8.2): the best per-method colMatch per (query column, lake column).
     */
-  def columnOnlyScores(ann: QueryAnnotation, index: LakeIndex): DataFrame = {
+  def columnOnlyScores(ann: QueryAnnotation, index: LakeIndex): Map[ColKey, Double] = {
     val view = index.serving
     val parts = Seq(
-      for (qcs <- ann.kbCSRows; tcs <- view.kbCS) yield colMatch(qcs, tcs),
-      for (qcs <- ann.synCSRows; s <- view.synth) yield colMatch(qcs, s.cs),
+      for (qcs <- kbColAnns(ann); tcs <- view.kbCS) yield colMatch(qcs, tcs),
+      for (qcs <- ann.synColumns; s <- view.synth) yield colMatch(qcs, s.cs),
     ).flatten
     require(parts.nonEmpty, "at least one method required")
-    val rows = parts.flatten.groupMapReduce(_._1)(_._2.score)(math.max).toSeq.map { case (k, m) =>
-      Row(k.qTable, k.qCol, k.tTable, k.tCol, m)
-    }
-    ServingView.localFrame(sessionOf(ann), ColumnScoreSchema, rows)
+    parts.flatten.groupMapReduce(_._1)(_._2.score)(math.max)
   }
+
+  /** The query's KB CS as [[colMatch]] reads it. */
+  private def kbColAnns(ann: QueryAnnotation): Option[Seq[ColAnn]] =
+    ann.kbColumns.map(_.map { case (t, r) => ColAnn(t, r.col, r.annotation, r.conf) })
 
   private val EdgeSchema = ServingView.schema("q_table" -> StringType, "q_a" -> IntegerType,
     "q_b" -> IntegerType, "t_table" -> StringType, "t_a" -> IntegerType, "t_b" -> IntegerType,
     "pm" -> DoubleType)
-  private val ColumnScoreSchema = ServingView.schema("q_table" -> StringType, "q_col" -> IntegerType,
-    "t_table" -> StringType, "t_col" -> IntegerType, "col_match" -> DoubleType)
-
-  private def sessionOf(ann: QueryAnnotation): SparkSession =
-    Seq(ann.kbCS, ann.kbRS, ann.synCS, ann.synRS).flatten.head.sparkSession
 }

@@ -15,7 +15,8 @@ import repro.lake.LakeSchema
   * through [[serving]], their driver-side hash-map form.
   *
   * @param shared intermediates the index exposes and releases with its
-  *               members
+  *               members; kept for perfbench's `Pipeline`, remove with
+  *               ROADMAP item 1
   * @param stage  the per-table stage the members are computed from, cached
   *               only while [[materialize]] runs
   */
@@ -58,8 +59,11 @@ object SemanticIndex {
     * @param cells    lake cells
     * @param kb       the existing KB (None = SANTOS_Synth variant)
     * @param useSynth whether to build the synthesized KB (false = SANTOS_KB)
+    * @throws IllegalArgumentException if neither method is enabled
     */
   def build(cells: DataFrame, kb: Option[KBIndex], useSynth: Boolean): LakeIndex = {
+    require(kb.isDefined || useSynth,
+            "an index needs at least one method: pass a KB, set useSynth, or both")
     val stage = TableStage(cells, kb, annotate = kb.isDefined, synthesize = useSynth)
     val synth =
       if (useSynth) Some(SynthesizedKB.fromStage(stage, SynthesizedKB.defaultMaxValueSpread)) else None

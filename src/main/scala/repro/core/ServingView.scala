@@ -69,7 +69,7 @@ object ServingView {
       })
 
   /** Collects CS rows (table_id, col_id, annotation, conf[, gs]). Without gs
-    * (the synthesized method, or the query side) every row gets gs = 1.
+    * (the synthesized method) every row gets gs = 1.
     */
   def colAnns(df: DataFrame, withGs: Boolean): Seq[ColAnn] = {
     val cols = Seq("table_id", "col_id", "annotation", "conf") ++ (if (withGs) Seq("gs") else Nil)
@@ -85,12 +85,12 @@ object ServingView {
   def schema(fields: (String, DataType)*): StructType =
     StructType(fields.map { case (n, t) => StructField(n, t, nullable = t == StringType) })
 
-  /** A local DataFrame of `rows` under `schema`. It is built from external
-    * rows, so no encoder is derived and no code generated, which keeps the
-    * few the query phase builds per query cheap.
+  /** A local DataFrame of `rows` under `schema`, in the active session. It
+    * is built from external rows, so no encoder is derived and no code
+    * generated, which keeps the few a query builds cheap.
     */
-  def localFrame(spark: SparkSession, schema: StructType, rows: Seq[Row]): DataFrame =
-    spark.createDataFrame(rows.asJava, schema)
+  def localFrame(schema: StructType, rows: Seq[Row]): DataFrame =
+    SparkSession.active.createDataFrame(rows.asJava, schema)
 
   /** The rows of `df`: read in place when it is a local relation, as
     * [[localFrame]] builds them, else collected. A collect plans a query and

@@ -63,7 +63,9 @@ object SynthesizedKB {
 
   val defaultMaxValueSpread = 1000
 
-  /** Builds the synthesized KB over the lake.
+  /** Builds the synthesized KB over the lake. Kept, with its unused
+    * `precomputedPairs`, for perfbench's `Pipeline`; remove with ROADMAP
+    * item 1.
     *
     * @param cells     lake cells
     * @param excludeKb when SANTOS runs with an existing KB, its index; value
@@ -75,7 +77,7 @@ object SynthesizedKB {
     *                  carry no discriminating signal); it still counts in its
     *                  columns' sizes
     * @param precomputedPairs unused: value pairs are derived per table from
-    *                  `cells`; kept for source compatibility
+    *                  `cells`
     */
   def build(cells: DataFrame, excludeKb: Option[KBIndex] = None,
             maxValueSpread: Int = defaultMaxValueSpread,
@@ -136,20 +138,5 @@ object SynthesizedKB {
 
     SynthIndex(synCS, synRS, colVals.drop("n_distinct"), colSizes, kept.drop("n_pairs"),
                fdPairs.drop("n_kept"), Some(stage.tables))
-  }
-
-  /** Per-value-pair type scores of the Synthesized Relationship Dictionary
-    * (Fig. 5 / Ex. 19): every value pair of column pair P carries annotation
-    * P' with score overlap(P,P')/|P| (1 when P' = P). Used to validate the
-    * dictionary against the paper's worked example; the search path consumes
-    * the column-pair-level Eq. 6 scores in [[SynthIndex.synRS]].
-    *
-    * Output: (value_a, value_b, annotation, score).
-    */
-  def valuePairScores(index: SynthIndex): DataFrame = {
-    index.fdPairVals
-      .join(index.synRS, Seq("table_id", "col_a", "col_b"))
-      .groupBy("value_a", "value_b", "annotation")
-      .agg(max(col("conf")).as("score"))
   }
 }

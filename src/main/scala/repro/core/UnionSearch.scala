@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
+import repro.core.Scoring.ColKey
+
 /** Top-k union search (Def. 10, Eq. 11).
   *
   * Edge-level pairMatch scores come from [[Scoring.edgeScores]], which looks
@@ -55,6 +57,9 @@ object UnionSearch {
     * DataFrame from [[Scoring.edgeScores]]. Only tables with S > 0 appear —
     * SANTOS requires a relationship match (a method may thus return fewer
     * than k results; the metrics treat the missing slots as misses, Sec. 8.1).
+    *
+    * The DataFrame input is kept for perfbench's `Pipeline`; remove with
+    * ROADMAP item 1.
     */
   def searchAll(trees: Seq[QueryTree], edgeScores: DataFrame, k: Int): Map[String, Seq[Ranked]] = {
     val collected: Seq[EdgeScore] = ServingView.rowsOf(edgeScores).map { r =>
@@ -78,22 +83,22 @@ object UnionSearch {
   /** SANTOS_Col variant (Sec. 8.2): per candidate table, greedily assign each
     * query column to a distinct lake column by descending colMatch and sum.
     * No intent anchoring, no relationships.
+    *
+    * @param colScores colMatch per (query column, lake column), as
+    *                  [[Scoring.columnOnlyScores]] gives them
     */
-  def searchColumnOnly(queryIds: Seq[String], colScores: DataFrame, k: Int): Map[String, Seq[Ranked]] = {
-    val collected = ServingView.rowsOf(colScores).map { r =>
-      (r.getAs[String]("q_table"), r.getAs[Int]("q_col"),
-       r.getAs[String]("t_table"), r.getAs[Int]("t_col"), r.getAs[Double]("col_match"))
-    }
-    val byQuery = collected.groupBy(_._1)
+  def searchColumnOnly(queryIds: Seq[String], colScores: Map[ColKey, Double],
+                       k: Int): Map[String, Seq[Ranked]] = {
+    val byQuery = colScores.toSeq.groupBy(_._1.qTable)
     queryIds.map { q =>
       val rows = byQuery.getOrElse(q, Seq.empty)
-      val ranked = rows.groupBy(_._3).toSeq.map { case (t, rs) =>
-        val sorted = rs.sortBy(x => (-x._5, x._2, x._4))
+      val ranked = rows.groupBy(_._1.tTable).toSeq.map { case (t, rs) =>
+        val sorted = rs.sortBy { case (key, m) => (-m, key.qCol, key.tCol) }
         val usedQ = scala.collection.mutable.Set[Int]()
         val usedT = scala.collection.mutable.Set[Int]()
         var s = 0.0
-        for ((_, qc, _, tc, m) <- sorted if !usedQ.contains(qc) && !usedT.contains(tc)) {
-          usedQ += qc; usedT += tc; s += m
+        for ((key, m) <- sorted if !usedQ.contains(key.qCol) && !usedT.contains(key.tCol)) {
+          usedQ += key.qCol; usedT += key.tCol; s += m
         }
         Ranked(t, s)
       }

@@ -26,40 +26,42 @@ final case class KBConfig(
     sampleSeed: Long = 17L,
     noiseSeed: Long = 23L)
 
-/** The paper's four KB dictionaries (Sec. 7.1) as DataFrames, each built on
-  * first use (indexing and the query phase read [[view]] instead).
+/** The paper's four KB dictionaries (Sec. 7.1), as the driver-side rows
+  * they are built from. Indexing and the query phase read them through
+  * [[view]]; the DataFrame forms are built in `spark` on first use.
   *
-  * @param labelsDf       entity dictionary: (label, entity_id) — canonical and
-  *                       alternate names, lower-cased
-  * @param typeDictDf     type dictionary expanded through the hierarchy:
+  * @param labelRows      entity dictionary: (label, entity_id) — canonical and
+  *                       alternate names, lower-cased. Its distinct labels are
+  *                       `coveredLabels`, which defines "mapped to the KB" for
+  *                       the Eq. 1 and Eq. 4 denominators.
+  * @param typeRows       type dictionary expanded through the hierarchy:
   *                       (label, type_id, top_level, gs); one row per
   *                       (label, ancestor-or-self type) of any entity with that
   *                       label. gs is the Eq. (2) granularity score.
-  * @param relDictDf      relationship dictionary: (label_subj, label_obj,
+  * @param relRows        relationship dictionary: (label_subj, label_obj,
   *                       predicate, pred_pairs) for every labeled fact;
   *                       pred_pairs is the predicate's KB pair count, used for
   *                       the Eq. (4) rarer-predicate tie-break
-  * @param coveredLabelsDf distinct labels present in the KB (defines "mapped to
-  *                       the KB" for Eq. 1 and Eq. 4 denominators)
   * @param topLevelCounts entities per top-level type (majority tie-break of
   *                       Sec. 4.1 footnote 3: rarer top-level wins)
-  * @param builtView      the dictionaries as a [[KBView]], when they were
-  *                       built from rows at hand (`KBDictionaries.build`);
-  *                       otherwise [[view]] collects them on first use
   */
 final class KBIndex(
-    labelsDf: => DataFrame,
-    typeDictDf: => DataFrame,
-    relDictDf: => DataFrame,
-    coveredLabelsDf: => DataFrame,
+    @transient private val spark: SparkSession,
+    val labelRows: Seq[(String, Long)],
+    val typeRows: Seq[(String, String, String, Double)],
+    val relRows: Seq[(String, String, String, Long)],
     val topLevelCounts: Map[String, Long],
-    val typeGs: Map[String, Double],
-    builtView: Option[KBView] = None) extends Serializable {
+    val typeGs: Map[String, Double]) extends Serializable {
 
-  lazy val labels: DataFrame = labelsDf
-  lazy val typeDict: DataFrame = typeDictDf
-  lazy val relDict: DataFrame = relDictDf
-  lazy val coveredLabels: DataFrame = coveredLabelsDf
+  private def coveredRows: Seq[String] = labelRows.map(_._1).distinct
+
+  @transient lazy val labels: DataFrame = spark.createDataFrame(labelRows).toDF("label", "entity_id")
+  @transient lazy val typeDict: DataFrame =
+    spark.createDataFrame(typeRows).toDF("label", "type_id", "top_level", "gs")
+  @transient lazy val relDict: DataFrame =
+    spark.createDataFrame(relRows).toDF("label_subj", "label_obj", "predicate", "pred_pairs")
+  @transient lazy val coveredLabels: DataFrame =
+    spark.createDataFrame(coveredRows.map(Tuple1(_))).toDF("label")
 
   /** Forces what indexing reads (indexing is a timed phase): [[view]] and
     * its broadcast.
@@ -78,7 +80,7 @@ final class KBIndex(
   /** The dictionaries as driver-side hash maps, read by the query phase and,
     * through [[broadcastView]], by the per-table indexing kernel.
     */
-  @transient lazy val view: KBView = builtView.getOrElse(KBView.collect(this))
+  @transient lazy val view: KBView = KBView.of(typeRows, relRows, coveredRows, topLevelCounts)
 
   @transient @volatile private var broadcastUsed = false
 
@@ -133,15 +135,6 @@ object KBView {
       },
       topLevelCounts)
   }
-
-  /** Collects the view from the dictionary DataFrames, one Spark job each. */
-  def collect(kb: KBIndex): KBView =
-    of(kb.typeDict.select("label", "type_id", "top_level", "gs").collect().toSeq
-         .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getDouble(3))),
-       kb.relDict.select("label_subj", "label_obj", "predicate", "pred_pairs").collect().toSeq
-         .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getLong(3))),
-       kb.coveredLabels.select("label").collect().map(_.getString(0)),
-       kb.topLevelCounts)
 }
 
 object KBDictionaries {
@@ -155,12 +148,9 @@ object KBDictionaries {
     1.0 / math.max(1.0, math.log10(entityCount.toDouble))
 
   /** Builds the four dictionaries from the synthetic world on the driver
-    * (the world is small), as the [[KBView]] and, on first use, as
-    * DataFrames.
+    * (the world is small).
     */
   def build(spark: SparkSession, world: World, config: KBConfig = KBConfig()): KBIndex = {
-    import spark.implicits._
-
     // 1. Entity subsampling (Fig. 9) + top-level filtering (TURL bias).
     val sampleRng = new Random(config.sampleSeed)
     val kept0 = world.entities.filter(_ => sampleRng.nextDouble() < config.entityFraction)
@@ -224,14 +214,6 @@ object KBDictionaries {
         lo <- labelsById(f.obj)
       } yield (ls, lo, f.predicate, predPairs(f.predicate))
     }.distinct
-    val coveredRows = labelRows.map(_._1).distinct
-
-    new KBIndex(
-      labelRows.toDF("label", "entity_id"),
-      typeDictRows.toDF("label", "type_id", "top_level", "gs"),
-      relRows.toDF("label_subj", "label_obj", "predicate", "pred_pairs"),
-      coveredRows.toDF("label"),
-      topLevelCounts, gs,
-      Some(KBView.of(typeDictRows, relRows, coveredRows, topLevelCounts)))
+    new KBIndex(spark, labelRows, typeDictRows, relRows, topLevelCounts, gs)
   }
 }

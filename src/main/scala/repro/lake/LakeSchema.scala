@@ -130,6 +130,8 @@ object LakeSchema {
   /** Distinct ordered value pairs per string-column pair within each table:
     * (table_id, col_a, col_b, value_a, value_b) with col_a != col_b, as
     * [[TableCells.pairs]] gives them.
+    *
+    * Kept for perfbench's `Pipeline`; remove with ROADMAP item 1.
     */
   def valuePairs(cells: DataFrame): DataFrame = {
     val spark = cells.sparkSession
@@ -142,10 +144,4 @@ object LakeSchema {
   /** Per-column profile of the lake: (table_id, col_id, col_name, is_string). */
   def columnProfile(cells: DataFrame): DataFrame =
     cells.select("table_id", "col_id", "col_name", "is_string").distinct()
-
-  /** Count of distinct normalized values per string column. */
-  def distinctValueCounts(cells: DataFrame): DataFrame =
-    distinctColumnValues(cells)
-      .groupBy("table_id", "col_id")
-      .agg(count(lit(1)).as("n_distinct"))
 }

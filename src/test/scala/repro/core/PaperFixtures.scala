@@ -18,11 +18,19 @@ object PaperFixtures {
     "place" -> 0.14, "adminarea" -> 0.17, "city" -> 0.22, "state" -> 0.35,
     "creativework" -> 0.10, "musicalbum" -> 0.30, "person" -> 0.20)
 
+  /** The Birthplace example's `birthplace` facts: each person to their city. */
+  val birthplaceFacts: Seq[(String, String, String, Long)] =
+    Seq("ada" -> "boston", "bob" -> "dallas", "cady" -> "london",
+        "dan" -> "texas", "eve" -> "barnet").map { case (p, b) => (p, b, "birthplace", 5L) }
+
   /** KB for the Birthplace example. All labels covered; Boston is a homograph
     * (city and music album).
+    *
+    * @param relRows the relationship dictionary, the Birthplace facts unless
+    *                a test swaps in its own
     */
-  def birthplaceKb(spark: SparkSession): KBIndex = {
-    import spark.implicits._
+  def birthplaceKb(spark: SparkSession,
+                   relRows: Seq[(String, String, String, Long)] = birthplaceFacts): KBIndex = {
     val typeRows: Seq[(String, String, String, Double)] =
       Seq("boston", "dallas", "london").flatMap { c =>
         Seq((c, "city", "place", gsFix("city")),
@@ -39,19 +47,10 @@ object PaperFixtures {
       ) ++ Seq("ada", "bob", "cady", "dan", "eve").map { p =>
         (p, "person", "person", gsFix("person"))
       }
-    val typeDict = typeRows.toDF("label", "type_id", "top_level", "gs")
-
-    val persons = Seq("ada" -> "boston", "bob" -> "dallas", "cady" -> "london",
-                      "dan" -> "texas", "eve" -> "barnet")
-    val relDict = persons.map { case (p, b) => (p, b, "birthplace", 5L) }
-      .toDF("label_subj", "label_obj", "predicate", "pred_pairs")
-
-    val labels = typeRows.map(_._1).distinct.zipWithIndex
-      .map { case (l, i) => (l, i.toLong) }.toDF("label", "entity_id")
-    val covered = labels.select("label").distinct()
+    val labels = typeRows.map(_._1).distinct.zipWithIndex.map { case (l, i) => (l, i.toLong) }
 
     new KBIndex(
-      labels, typeDict, relDict, covered,
+      spark, labels, typeRows, relRows,
       topLevelCounts = Map("place" -> 6000000L, "creativework" -> 7000000L,
                            "person" -> 1000000L),
       typeGs = gsFix)

@@ -7,7 +7,6 @@ import repro.lake.LakeSchema.TableData
 
 /** Query-phase annotation (Sec. 7.4) and query semantic tree construction. */
 class QueryAnnotatorSpec extends SparkSpec {
-  import spark.implicits._
 
   lazy val kb = PaperFixtures.birthplaceKb(spark)
   lazy val lake = PaperFixtures.fig2Tables(spark)
@@ -60,34 +59,29 @@ class QueryAnnotatorSpec extends SparkSpec {
   }
 
   test("queryTrees: BFS from the intent over RS edges") {
-    val rs = Seq(("Q", 0, 1, "x", 1.0), ("Q", 1, 2, "y", 1.0), ("Q", 2, 1, "y", 1.0))
-      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    val rs = Seq(("Q", 0, 1, "x", 1.0), ("Q", 1, 2, "y", 1.0), ("Q", 2, 1, "y", 1.0)).map(PairAnn.tupled)
     val ann = QueryAnnotation(None, None, None, Some(rs))
     val tree = QueryAnnotator.queryTrees(ann, Map("Q" -> 0)).head
     assert(tree.edges === Seq((0, 1), (1, 2)))
   }
 
   test("queryTrees: columns not reachable from the intent are excluded") {
-    val rs = Seq(("Q", 0, 1, "x", 1.0), ("Q", 2, 3, "y", 1.0))
-      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    val rs = Seq(("Q", 0, 1, "x", 1.0), ("Q", 2, 3, "y", 1.0)).map(PairAnn.tupled)
     val ann = QueryAnnotation(None, None, None, Some(rs))
     val tree = QueryAnnotator.queryTrees(ann, Map("Q" -> 0)).head
     assert(tree.edges === Seq((0, 1)))
   }
 
   test("queryTrees: edges merge KB and synth relationship evidence") {
-    val kbRs = Seq(("Q", 0, 1, "locatedin", 1.0))
-      .toDF("table_id", "col_a", "col_b", "predicate", "conf")
-    val syRs = Seq(("Q", 1, 2, "T#0#1", 1.0))
-      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    val kbRs = Seq(("Q", 0, 1, "locatedin", 1.0)).map(PairAnn.tupled)
+    val syRs = Seq(("Q", 1, 2, "T#0#1", 1.0)).map(PairAnn.tupled)
     val ann = QueryAnnotation(None, Some(kbRs), None, Some(syRs))
     val tree = QueryAnnotator.queryTrees(ann, Map("Q" -> 0)).head
     assert(tree.edges === Seq((0, 1), (1, 2)))
   }
 
   test("queryTrees: an intent with no relationships yields an empty tree") {
-    val rs = Seq.empty[(String, Int, Int, String, Double)]
-      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    val rs = Seq.empty[(String, Int, Int, String, Double)].map(PairAnn.tupled)
     val ann = QueryAnnotation(None, None, None, Some(rs))
     val tree = QueryAnnotator.queryTrees(ann, Map("Q" -> 5)).head
     assert(tree.intentCol === 5)
@@ -95,16 +89,14 @@ class QueryAnnotatorSpec extends SparkSpec {
   }
 
   test("queryTrees: children are visited in ascending column order") {
-    val rs = Seq(("Q", 0, 3, "x", 1.0), ("Q", 0, 1, "y", 1.0), ("Q", 0, 2, "z", 1.0))
-      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    val rs = Seq(("Q", 0, 3, "x", 1.0), ("Q", 0, 1, "y", 1.0), ("Q", 0, 2, "z", 1.0)).map(PairAnn.tupled)
     val ann = QueryAnnotation(None, None, None, Some(rs))
     val tree = QueryAnnotator.queryTrees(ann, Map("Q" -> 0)).head
     assert(tree.edges === Seq((0, 1), (0, 2), (0, 3)))
   }
 
   test("queryTrees handles multiple query tables independently") {
-    val rs = Seq(("Q1", 0, 1, "x", 1.0), ("Q2", 2, 0, "y", 1.0))
-      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    val rs = Seq(("Q1", 0, 1, "x", 1.0), ("Q2", 2, 0, "y", 1.0)).map(PairAnn.tupled)
     val ann = QueryAnnotation(None, None, None, Some(rs))
     val trees = QueryAnnotator.queryTrees(ann, Map("Q1" -> 0, "Q2" -> 0))
       .map(t => t.tableId -> t.edges).toMap

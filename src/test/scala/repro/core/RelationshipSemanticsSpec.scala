@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.kb.KBIndex
@@ -15,15 +16,18 @@ class RelationshipSemanticsSpec extends SparkSpec {
   lazy val people = PaperFixtures.peopleTable(spark)
   lazy val peopleCS = ColumnSemantics.compute(people, kb, isQuery = false)
 
+  private def rsOf(cells: DataFrame, kb: KBIndex, cs: DataFrame): DataFrame =
+    RelationshipSemantics.computeFromPairs(LakeSchema.valuePairs(cells), kb, cs)
+
   test("Ex. 16: RS(Person, Birthplace) = birthplace with confidence 1.0") {
-    val rs = RelationshipSemantics.compute(people, kb, peopleCS)
+    val rs = rsOf(people, kb, peopleCS)
       .filter(col("col_a") === 0 && col("col_b") === 1).head()
     assert(rs.getAs[String]("predicate") === "birthplace")
     assert(math.abs(rs.getAs[Double]("conf") - 1.0) < 1e-9)
   }
 
   test("direction matters: no predicate at the (Birthplace, Person) orientation") {
-    val rs = RelationshipSemantics.compute(people, kb, peopleCS)
+    val rs = rsOf(people, kb, peopleCS)
       .filter(col("col_a") === 1 && col("col_b") === 0)
     assert(rs.count() === 0)
   }
@@ -39,44 +43,36 @@ class RelationshipSemanticsSpec extends SparkSpec {
         Seq("unknown", "boston"),   // subject not in KB: excluded entirely
       ))))
     val cs = ColumnSemantics.compute(cells, kb, isQuery = false)
-    val rs = RelationshipSemantics.compute(cells, kb, cs)
+    val rs = rsOf(cells, kb, cs)
       .filter(col("col_a") === 0 && col("col_b") === 1).head()
     assert(math.abs(rs.getAs[Double]("conf") - 4.0 / 5.0) < 1e-9)
   }
 
   test("only the maximum-scoring predicate is kept per ordered pair") {
-    import spark.implicits._
-    val kb2 = new KBIndex(
-      kb.labels, kb.typeDict,
-      Seq(
-        ("ada", "boston", "birthplace", 5L),
-        ("bob", "dallas", "birthplace", 5L),
-        ("ada", "boston", "worksin", 9L), // only 1 of 2 pairs -> loses
-      ).toDF("label_subj", "label_obj", "predicate", "pred_pairs"),
-      kb.coveredLabels, kb.topLevelCounts, kb.typeGs)
+    val kb2 = PaperFixtures.birthplaceKb(spark, relRows = Seq(
+      ("ada", "boston", "birthplace", 5L),
+      ("bob", "dallas", "birthplace", 5L),
+      ("ada", "boston", "worksin", 9L), // only 1 of 2 pairs -> loses
+    ))
     val cells = LakeSchema.cellsOf(spark, Seq(
       TableData("t", Seq("p", "b"), Seq(true, true), Seq(
         Seq("ada", "boston"), Seq("bob", "dallas")))))
     val cs = ColumnSemantics.compute(cells, kb2, isQuery = false)
-    val rows = RelationshipSemantics.compute(cells, kb2, cs)
+    val rows = rsOf(cells, kb2, cs)
       .filter(col("col_a") === 0 && col("col_b") === 1).collect()
     assert(rows.length === 1)
     assert(rows.head.getAs[String]("predicate") === "birthplace")
   }
 
   test("footnote 4: score ties go to the predicate with fewer KB pairs") {
-    import spark.implicits._
-    val kb2 = new KBIndex(
-      kb.labels, kb.typeDict,
-      Seq(
-        ("ada", "boston", "common", 100L),
-        ("ada", "boston", "rare", 3L),
-      ).toDF("label_subj", "label_obj", "predicate", "pred_pairs"),
-      kb.coveredLabels, kb.topLevelCounts, kb.typeGs)
+    val kb2 = PaperFixtures.birthplaceKb(spark, relRows = Seq(
+      ("ada", "boston", "common", 100L),
+      ("ada", "boston", "rare", 3L),
+    ))
     val cells = LakeSchema.cellsOf(spark, Seq(
       TableData("t", Seq("p", "b"), Seq(true, true), Seq(Seq("ada", "boston")))))
     val cs = ColumnSemantics.compute(cells, kb2, isQuery = false)
-    val rs = RelationshipSemantics.compute(cells, kb2, cs).head()
+    val rs = rsOf(cells, kb2, cs).head()
     assert(rs.getAs[String]("predicate") === "rare")
   }
 
@@ -85,7 +81,7 @@ class RelationshipSemanticsSpec extends SparkSpec {
       TableData("t", Seq("p", "junk"), Seq(true, true), Seq(
         Seq("ada", "zz1"), Seq("bob", "zz2")))))
     val cs = ColumnSemantics.compute(cells, kb, isQuery = false)
-    assert(RelationshipSemantics.compute(cells, kb, cs).count() === 0)
+    assert(rsOf(cells, kb, cs).count() === 0)
   }
 
   test("duplicate rows count once (Eq. 4 is over unique value pairs)") {
@@ -93,7 +89,7 @@ class RelationshipSemanticsSpec extends SparkSpec {
       TableData("t", Seq("p", "b"), Seq(true, true), Seq(
         Seq("ada", "boston"), Seq("ada", "boston"), Seq("eve", "texas")))))
     val cs = ColumnSemantics.compute(cells, kb, isQuery = false)
-    val rs = RelationshipSemantics.compute(cells, kb, cs)
+    val rs = rsOf(cells, kb, cs)
       .filter(col("col_a") === 0 && col("col_b") === 1).head()
     // 1 predicate pair of 2 unique KB pairs
     assert(math.abs(rs.getAs[Double]("conf") - 0.5) < 1e-9)
@@ -104,13 +100,13 @@ class RelationshipSemanticsSpec extends SparkSpec {
       TableData("t", Seq("p", "b", "b2"), Seq(true, true, true), Seq(
         Seq("ada", "boston", "dallas"), Seq("bob", "dallas", "boston")))))
     val cs = ColumnSemantics.compute(cells, kb, isQuery = false)
-    val pairs = RelationshipSemantics.compute(cells, kb, cs)
+    val pairs = rsOf(cells, kb, cs)
       .select("col_a", "col_b").collect().map(r => (r.getInt(0), r.getInt(1))).toSet
     assert(pairs === Set((0, 1))) // ada->boston, bob->dallas are facts; others not
   }
 
   test("Eq. 4 numerator and denominator match DuckDB") {
-    val got = RelationshipSemantics.compute(people, kb, peopleCS)
+    val got = rsOf(people, kb, peopleCS)
       .select(col("col_a").cast("string").as("col_a"),
               col("col_b").cast("string").as("col_b"),
               col("predicate"), format_number(col("conf"), 4).as("conf"))

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.lake.LakeSchema
@@ -57,8 +58,21 @@ class SynthesizedKBSpec extends SparkSpec {
 
   // ------------------------------------------------------------------ Fig. 5
 
+  /** Per-value-pair type scores of the Synthesized Relationship Dictionary
+    * (Fig. 5 / Ex. 19): every value pair of column pair P carries annotation
+    * P' with score overlap(P,P')/|P| (1 when P' = P). The search path consumes
+    * the column-pair-level Eq. 6 scores in [[SynthIndex.synRS]] instead.
+    *
+    * Output: (value_a, value_b, annotation, score).
+    */
+  private def valuePairScores(index: SynthIndex): DataFrame =
+    index.fdPairVals
+      .join(index.synRS, Seq("table_id", "col_a", "col_b"))
+      .groupBy("value_a", "value_b", "annotation")
+      .agg(max(col("conf")).as("score"))
+
   test("Fig. 5: per-value-pair dictionary rows match the paper") {
-    val scores = SynthesizedKB.valuePairScores(index)
+    val scores = valuePairScores(index)
       .filter(col("annotation").endsWith("#0#1"))
       .collect()
       .map(r => ((r.getString(0), r.getString(1)), r.getString(2).takeWhile(_ != '#'),

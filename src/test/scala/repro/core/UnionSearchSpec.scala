@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.core.Scoring.ColKey
 import repro.core.UnionSearch.{EdgeScore, Ranked}
 
 /** Tree assembly and top-k ranking (Def. 10, Eq. 11). */
@@ -94,21 +95,25 @@ class UnionSearchSpec extends SparkSpec {
     assert(out("Q") === Seq.empty)
   }
 
+  /** Column-only scores from (q_table, q_col, t_table, t_col, col_match) rows. */
+  private def colScores(rows: (String, Int, String, Int, Double)*): Map[ColKey, Double] =
+    rows.map { case (q, qc, t, tc, m) => ColKey(q, qc, t, tc) -> m }.toMap
+
   test("searchColumnOnly sums a greedy bipartite column assignment") {
-    val scores = Seq(
+    val scores = colScores(
       ("Q", 0, "T", 0, 0.9),
       ("Q", 1, "T", 0, 0.8), // column T.0 already taken by Q.0
       ("Q", 1, "T", 1, 0.5),
-    ).toDF("q_table", "q_col", "t_table", "t_col", "col_match")
+    )
     val out = UnionSearch.searchColumnOnly(Seq("Q"), scores, k = 5)("Q")
     assert(math.abs(out.head.score - 1.4) < 1e-9)
   }
 
   test("searchColumnOnly ranks multiple tables") {
-    val scores = Seq(
+    val scores = colScores(
       ("Q", 0, "T", 0, 0.4),
       ("Q", 0, "U", 0, 0.9),
-    ).toDF("q_table", "q_col", "t_table", "t_col", "col_match")
+    )
     val out = UnionSearch.searchColumnOnly(Seq("Q"), scores, k = 2)("Q")
     assert(out.map(_.tableId) === Seq("U", "T"))
   }

@@ -244,4 +244,11 @@ class IndexBuildSpec extends SparkSpec {
     try assert(jobs <= 40, s"$jobs Spark jobs for one build")
     finally index.unpersistAll()
   }
+
+  test("an index with neither method is rejected at build time, with the reason") {
+    val e = intercept[IllegalArgumentException] {
+      SemanticIndex.build(trapBench.lakeCells, kb = None, useSynth = false)
+    }
+    assert(e.getMessage.contains("at least one method"))
+  }
 }

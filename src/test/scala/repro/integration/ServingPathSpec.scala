@@ -2,6 +2,7 @@ package repro.integration
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, StringType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec}
 import repro.core._
@@ -75,7 +76,7 @@ class ServingPathSpec extends SparkSpec {
     assert(ann.synCS.isDefined === index.synth.isDefined)
     index.kb.foreach { k =>
       val refCS = ColumnSemantics.compute(q, k, isQuery = true)
-      val refRS = RelationshipSemantics.compute(q, k, refCS)
+      val refRS = RelationshipSemantics.computeFromPairs(LakeSchema.valuePairs(q), k, refCS)
       val (cs, rs) = (rows(ann.kbCS.get, csCols), rows(ann.kbRS.get, rsCols))
       assert(cs === rows(refCS, csCols))
       assert(rs === rows(refRS, rsCols))
@@ -110,9 +111,46 @@ class ServingPathSpec extends SparkSpec {
     withIndex(zeroCovBench, useKb = false, useSynth = true)(checkAnnotations(zeroCovBench, _, kbCovered = false))
   }
 
+  /** A schema of (name, type) fields: strings nullable, numbers not. */
+  private def schemaOf(fields: (String, DataType)*): StructType =
+    StructType(fields.map { case (n, t) => StructField(n, t, nullable = t == StringType) })
+
+  private def pairSchema(annCol: String) = schemaOf("table_id" -> StringType,
+    "col_a" -> IntegerType, "col_b" -> IntegerType, annCol -> StringType, "conf" -> DoubleType)
+
+  /** Checks that `frame` has `schema` and holds exactly `expected`. */
+  private def checkFrame(frame: Option[DataFrame], schema: StructType, expected: Option[Seq[Row]]): Unit = {
+    assert(frame.isDefined === expected.isDefined)
+    for (df <- frame; rows <- expected) {
+      assert(df.schema === schema)
+      assert(df.collect().toSeq.sortBy(_.toString) === rows.sortBy(_.toString))
+    }
+  }
+
+  for ((name, bench) <- Seq("TRAP" -> (() => trapBench), "ZEROCOV" -> (() => zeroCovBench)))
+    test(s"$name: the annotation frames have the annotation's schema and exactly its rows") {
+      withIndex(bench(), useKb = true, useSynth = true) { index =>
+        val ann = QueryAnnotator.annotate(bench().queryCells, index)
+        assert(ann.kbColumns.exists(_.nonEmpty) === (name == "TRAP"))
+        assert(ann.synColumns.exists(_.nonEmpty) && ann.synPairs.exists(_.nonEmpty))
+        checkFrame(ann.kbCS, schemaOf("table_id" -> StringType, "col_id" -> IntegerType,
+          "annotation" -> StringType, "top_level" -> StringType, "fs" -> DoubleType,
+          "gs" -> DoubleType, "conf" -> DoubleType),
+          ann.kbColumns.map(_.map { case (t, r) => Row(t, r.col, r.annotation, r.topLevel, r.fs, r.gs, r.conf) }))
+        checkFrame(ann.kbRS, pairSchema("predicate"),
+          ann.kbPairs.map(_.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf))))
+        checkFrame(ann.synCS, schemaOf("table_id" -> StringType, "col_id" -> IntegerType,
+          "annotation" -> StringType, "conf" -> DoubleType),
+          ann.synColumns.map(_.map(r => Row(r.table, r.col, r.annotation, r.conf))))
+        checkFrame(ann.synRS, pairSchema("annotation"),
+          ann.synPairs.map(_.map(r => Row(r.table, r.a, r.b, r.annotation, r.conf))))
+      }
+    }
+
   test("a warm single-query search runs at most one Spark job") {
-    // With `persistAnnotations` the caller caches the annotation DataFrames
-    // first; scoring must then still not read them back through Spark.
+    // With `persistAnnotations` the caller builds and caches the annotation
+    // DataFrames first, as perfbench does; scoring must then still not read
+    // them back through Spark.
     def search(q: QuerySpec, persistAnnotations: Boolean) = {
       val cells = trapBench.queryCells.filter(col("table_id") === q.tableId)
       val ann = QueryAnnotator.annotate(cells, trapIndex)

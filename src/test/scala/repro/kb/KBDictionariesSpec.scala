@@ -98,6 +98,29 @@ class KBDictionariesSpec extends SparkSpec {
     assert(tops === Set("place", "creativework"))
   }
 
+  /** The view [[KBView.of]] builds from the collected DataFrame forms of `k`. */
+  private def viewFromFrames(k: KBIndex): KBView = {
+    val covered = k.coveredLabels.collect().map(_.getString(0)).toSeq
+    assert(covered.toSet === k.labels.select("label").collect().map(_.getString(0)).toSet)
+    KBView.of(
+      k.typeDict.collect().toSeq.map(r => (r.getString(0), r.getString(1), r.getString(2), r.getDouble(3))),
+      k.relDict.collect().toSeq.map(r => (r.getString(0), r.getString(1), r.getString(2), r.getLong(3))),
+      covered, k.topLevelCounts)
+  }
+
+  for ((name, build) <- Seq[(String, () => KBIndex)](
+         "the synthetic world" -> (() => kb),
+         "the Birthplace fixture" -> (() => repro.core.PaperFixtures.birthplaceKb(spark))))
+    test(s"$name: the DataFrame forms give the view the rows give") {
+      val k = build()
+      val (got, want) = (viewFromFrames(k), k.view)
+      assert(want.types.nonEmpty && want.covered.nonEmpty && want.predicates.nonEmpty)
+      assert(got.types === want.types)
+      assert(got.covered === want.covered)
+      assert(got.predicates === want.predicates)
+      assert(got.topLevelCounts === want.topLevelCounts)
+    }
+
   // -------------------------------------------------------- degradation knobs
 
   test("entityFraction subsampling shrinks the dictionaries proportionally") {

@@ -100,7 +100,11 @@ class LakeSchemaSpec extends SparkSpec {
   }
 
   test("distinctValueCounts matches DuckDB") {
-    val got = LakeSchema.distinctValueCounts(fixtureCells)
+    import spark.implicits._
+    // Per table, as the kernel counts them (the Eq. 5 denominator).
+    val got = LakeSchema.perTable(fixtureCells) { (t, tc) =>
+      tc.colVals.toSeq.map { case (c, vs) => (t, c, vs.size.toLong) }
+    }.toDF("table_id", "col_id", "n_distinct")
       .select(col("table_id"), col("col_id").cast("string").as("col_id"),
               col("n_distinct").cast("string").as("n_distinct"))
     Oracle.assertEquivalent(got,
