@@ -60,7 +60,8 @@ object QueryAnnotator {
   /** Annotates all query tables in one pass against the lake index.
     *
     * One Spark job collects the query's string cells, normalized on the
-    * driver as [[LakeSchema.stringCells]] normalizes them in Spark; the four
+    * driver by [[LakeSchema.normalizeValue]], the function
+    * [[LakeSchema.stringCells]] applies to the lake's cells; the four
     * annotations are then computed on the driver, table by table, against
     * the index's [[LakeIndex.serving]] view: the KB ones by the lake side's
     * kernel ([[TableKernel.columnSemantics]] with `isQuery = true`,

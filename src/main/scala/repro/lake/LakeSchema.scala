@@ -48,11 +48,12 @@ object LakeSchema {
   /** Values SANTOS treats as missing (the paper's lakes contain nulls). */
   private val nullTokens = Set("", "null", "nan", "none", "n/a", "-")
 
-  /** Normalizes a raw cell value the way SANTOS maps cells to KB labels, and
-    * exactly as [[stringCells]] does in Spark: leading and trailing spaces
-    * removed (U+0020 only, as Spark's `trim`), lower-cased with ICU's full
-    * case mapping (as Spark's `lower`, which lowers a word-final Σ to ς),
-    * null-ish placeholder tokens dropped.
+  /** Normalizes a raw cell value the way SANTOS maps cells to KB labels:
+    * leading and trailing spaces removed (U+0020 only, as Spark's `trim`),
+    * lower-cased with ICU's full case mapping (as Spark's `lower`, which
+    * lowers a word-final Σ to ς), null-ish placeholder tokens dropped. The
+    * one normalization of both sides: lake cells go through it in
+    * [[stringCells]], query cells on the driver in `QueryAnnotator.annotate`.
     */
   def normalizeValue(v: String): Option[String] = {
     if (v == null) None
@@ -62,6 +63,12 @@ object LakeSchema {
       if (nullTokens.contains(t)) None else Some(t)
     }
   }
+
+  /** Cells per slice of [[cellsOf]]: at about 50 B per serialized cell, a
+    * slice's checkpoint task stays under the 1000 KiB above which Spark
+    * warns of a task of very large size.
+    */
+  private val cellsPerSlice = 20000
 
   /** Builds the cells DataFrame for a batch of tables. The rows are
     * checkpointed into block storage at once, so a task over them ships only
@@ -75,17 +82,23 @@ object LakeSchema {
         }
       }
     }.toSeq
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, math.max(1, rows.size / 50000)), cellSchema)
+    val slices = math.max(1, (rows.size + cellsPerSlice - 1) / cellsPerSlice)
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, slices), cellSchema)
       .localCheckpoint(eager = true)
   }
 
-  /** Normalized, non-null string cells — the input to every semantic phase. */
-  def stringCells(cells: DataFrame): DataFrame = {
+  /** [[normalizeValue]] as a Spark function; null for a dropped value. */
+  private val normalized = udf((v: String) => normalizeValue(v).orNull)
+
+  /** Normalized, non-null string cells — the input to every semantic phase.
+    * Each value goes through [[normalizeValue]], so the lake and the query
+    * side share one normalization; cells it drops are filtered out.
+    */
+  def stringCells(cells: DataFrame): DataFrame =
     cells
-      .filter(col("is_string") && col("value").isNotNull)
-      .withColumn("value", lower(trim(col("value"))))
-      .filter(length(col("value")) > 0 && !col("value").isin(nullTokens.toSeq: _*))
-  }
+      .filter(col("is_string"))
+      .withColumn("value", normalized(col("value")))
+      .filter(col("value").isNotNull)
 
   /** Distinct normalized values per string column: (table_id, col_id, value). */
   def distinctColumnValues(cells: DataFrame): DataFrame =
@@ -115,9 +128,9 @@ object LakeSchema {
     }
   }
 
-  /** Runs `f` on every table of `cells`, on the executors: one shuffle of
-    * the normalized string cells by `table_id`, then `f` on each table's
-    * [[TableCells]].
+  /** Runs `f` on every table of `cells`, on the executors: one shuffle by
+    * `table_id` of the string cells [[stringCells]] normalizes, then `f` on
+    * each table's [[TableCells]].
     */
   def perTable[A: Encoder](cells: DataFrame)(f: (String, TableCells) => IterableOnce[A]): Dataset[A] = {
     val spark = cells.sparkSession

@@ -1,6 +1,7 @@
 package repro.integration
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.{InitCap, Lower, Upper}
 import org.apache.spark.sql.functions.col
 
 import repro.{Oracle, SparkSpec}
@@ -12,8 +13,9 @@ import repro.lake.LakeSchema
 
 /** The per-table index build against the lake-wide join formulation it
   * replaced, written out as DuckDB SQL: every index member, for every
-  * SANTOS variant, on the micro benchmarks. Plus a guard on the build's
-  * Spark job count.
+  * SANTOS variant, on the micro benchmarks. Plus guards on the build: its
+  * Spark job count, and no Spark case mapping in its plans (the lake's cells
+  * are lower-cased by `LakeSchema.normalizeValue`, as the query's are).
   */
 class IndexBuildSpec extends SparkSpec {
 
@@ -243,6 +245,21 @@ class IndexBuildSpec extends SparkSpec {
     }
     try assert(jobs <= 40, s"$jobs Spark jobs for one build")
     finally index.unpersistAll()
+  }
+
+  test("TRAP: no Spark case mapping in the plans of stringCells or the SANTOS_Full index members") {
+    val cells = trapBench.lakeCells
+    val index = SemanticIndex.build(cells, Some(kb), useSynth = true)
+    try {
+      val members = index.kbCS.toSeq ++ index.kbRS.toSeq ++ index.synth.toSeq.flatMap(_.members)
+      assert(members.size === 8)
+      for ((df, i) <- (LakeSchema.stringCells(cells) +: members).zipWithIndex;
+           plan <- Seq(df.queryExecution.analyzed, df.queryExecution.optimizedPlan)) {
+        val mapped = plan.collectWithSubqueries { case p => p.expressions }.flatten
+          .flatMap(_.collect { case e @ (_: Lower | _: Upper | _: InitCap) => e })
+        assert(mapped.isEmpty, s"plan $i maps case with Spark: ${mapped.mkString(", ")}")
+      }
+    } finally index.unpersistAll()
   }
 
   test("an index with neither method is rejected at build time, with the reason") {

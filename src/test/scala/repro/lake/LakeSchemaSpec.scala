@@ -38,20 +38,28 @@ class LakeSchemaSpec extends SparkSpec {
     assert(LakeSchema.normalizeValue("x") === Some("x"))
   }
 
+  // Pieces a cell is glued from: Spark's trim strips only U+0020, so tabs,
+  // newlines and non-breaking spaces at the edges must survive.
+  private val piece = Gen.oneOf(
+    Gen.oneOf(" ", "  ", "\t", "\n", "\r", "\u00a0"),
+    Gen.oneOf("null", "NULL", "NaN", "None", "n/A", "-", ""),
+    Gen.oneOf("Boston", "kELLS park", "ÉCOLE", "Straße", "ΟΔΟΣ", "x1"),
+    Gen.alphaNumStr.map(_.take(6)))
+  private val cell: Gen[String] = Gen.frequency(
+    1 -> Gen.const(null),
+    12 -> Gen.choose(0, 4).flatMap(Gen.listOfN(_, piece)).map(_.mkString))
+  private def show(v: String): String =
+    if (v == null) "null"
+    else v.flatMap(c => if (c.isWhitespace || c.isSpaceChar) f"\\u${c.toInt}%04x" else c.toString)
+
+  /** Checks `prop` on 20 cases from seed 101. */
+  private def check(prop: Prop): Unit = {
+    val res = ScalaCheckTest.check(
+      ScalaCheckTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(101L)), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
   test("normalizeValue agrees with stringCells on whitespace, case and null tokens") {
-    // Pieces a cell is glued from: Spark's trim strips only U+0020, so tabs,
-    // newlines and non-breaking spaces at the edges must survive.
-    val piece = Gen.oneOf(
-      Gen.oneOf(" ", "  ", "\t", "\n", "\r", "\u00a0"),
-      Gen.oneOf("null", "NULL", "NaN", "None", "n/A", "-", ""),
-      Gen.oneOf("Boston", "kELLS park", "ÉCOLE", "Straße", "ΟΔΟΣ", "x1"),
-      Gen.alphaNumStr.map(_.take(6)))
-    val cell: Gen[String] = Gen.frequency(
-      1 -> Gen.const(null),
-      12 -> Gen.choose(0, 4).flatMap(Gen.listOfN(_, piece)).map(_.mkString))
-    def show(v: String): String =
-      if (v == null) "null"
-      else v.flatMap(c => if (c.isWhitespace || c.isSpaceChar) f"\\u${c.toInt}%04x" else c.toString)
     val prop = Prop.forAll(Gen.listOfN(48, cell)) { values =>
       val cells = LakeSchema.cellsOf(spark, Seq(
         TableData("t", Seq("v"), Seq(true), values.map(Seq(_)))))
@@ -63,9 +71,30 @@ class LakeSchemaSpec extends SparkSpec {
           s"stringCells ${bySpark.get(i).map(show)}"
       }: _*)
     }
-    val res = ScalaCheckTest.check(
-      ScalaCheckTest.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(101L)), prop)
-    assert(res.passed, Pretty.pretty(res))
+    check(prop)
+  }
+
+  test("stringCells agrees with Spark's lower(trim(value)) and the null-token filter") {
+    // An independent reference: Spark's own case mapping and trim, and the
+    // null tokens written out here, so a word-final Σ and the U+0020-only
+    // trim stay checked against Spark, not against normalizeValue itself.
+    val nullTokens = Set("", "null", "nan", "none", "n/a", "-")
+    val prop = Prop.forAll(Gen.listOfN(48, cell)) { values =>
+      val cells = LakeSchema.cellsOf(spark, Seq(
+        TableData("t", Seq("v"), Seq(true), values.map(Seq(_)))))
+      val got = LakeSchema.stringCells(cells).select("row_id", "value").collect()
+        .map(r => r.getLong(0).toInt -> r.getString(1)).toMap
+      val bySpark = cells.filter(col("is_string") && col("value").isNotNull)
+        .select(col("row_id"), lower(trim(col("value")))).collect()
+        .map(r => r.getLong(0).toInt -> r.getString(1))
+        .filterNot { case (_, v) => nullTokens.contains(v) }.toMap
+      Prop.all(values.indices.map { i =>
+        (got.get(i) == bySpark.get(i)) :|
+          s"cell ${show(values(i))}: stringCells ${got.get(i).map(show)}, " +
+          s"lower(trim(..)) ${bySpark.get(i).map(show)}"
+      }: _*)
+    }
+    check(prop)
   }
 
   test("cellsOf emits one row per cell") {
