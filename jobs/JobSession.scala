@@ -1,7 +1,6 @@
 package jobs
 
-import org.apache.spark.sql.SparkSession
-import repro.eval.BenchRunner
+import repro.eval.{BenchRunner, Harness}
 import repro.kb.World
 
 /** Shared SparkSession + runner bootstrap for the spark-submit entrypoints.
@@ -9,14 +8,7 @@ import repro.kb.World
   */
 object JobSession {
   def runner(appName: String): BenchRunner = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(appName)
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.ui.enabled", false)
-      .getOrCreate()
+    val spark = Harness.session(appName)
     spark.sparkContext.setLogLevel("WARN")
     new BenchRunner(spark, new World(42L))
   }

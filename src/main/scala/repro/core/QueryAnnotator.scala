@@ -89,13 +89,13 @@ object QueryAnnotator {
     }
 
     val synCS = view.synth.map { s =>
-      for ((t, tc) <- tables; (c, values) <- tc.colVals.toSeq; ((lt, lc), n) <- overlaps(values, s.colVals))
-        yield ColAnn(t, c, s"$lt#$lc", n.toDouble / values.size)
+      for ((t, tc) <- tables; (c, values) <- tc.colVals.toSeq; (l, n) <- overlaps(values, s.colVals))
+        yield ColAnn(t, c, SynthesizedKB.key(l), n.toDouble / values.size)
     }
     val synRS = view.synth.map { s =>
       for ((t, tc) <- tables; ((a, b), values) <- tc.pairs.toSeq;
-           ((lt, la, lb), n) <- overlaps(values, s.fdPairVals))
-        yield PairAnn(t, a, b, s"$lt#$la#$lb", n.toDouble / values.size)
+           (l, n) <- overlaps(values, s.fdPairVals))
+        yield PairAnn(t, a, b, SynthesizedKB.key(l), n.toDouble / values.size)
     }
 
     QueryAnnotation(kbAnn.map(_.flatMap(_._1)), kbAnn.map(_.flatMap(_._2)), synCS, synRS)

@@ -11,31 +11,29 @@ import repro.lake.LakeSchema
   * (the SANTOS_KB / SANTOS_Synth ablation variants of Sec. 8.3).
   *
   * The DataFrames *are* the inverted indexes: `kbCS` keyed by `annotation`
-  * answers "which lake columns carry type a". The query phase reads them
-  * through [[serving]], their driver-side hash-map form.
+  * answers "which lake columns carry type a". [[SemanticIndex.build]]
+  * returns them cached. The query phase reads them through [[serving]],
+  * their driver-side hash-map form.
   *
   * @param shared intermediates the index exposes and releases with its
   *               members; kept for perfbench's `Pipeline`, remove with
   *               ROADMAP item 1
-  * @param stage  the per-table stage the members are computed from, cached
-  *               only while [[materialize]] runs
   */
 final case class LakeIndex(
     kb: Option[KBIndex],
     kbCS: Option[DataFrame],
     kbRS: Option[DataFrame],
     synth: Option[SynthIndex],
-    shared: Seq[DataFrame] = Seq.empty,
-    stage: Option[DataFrame] = None) {
+    shared: Seq[DataFrame] = Seq.empty) {
 
-  def materialize(): this.type = {
-    TableStage.materialize(kbCS.toSeq ++ kbRS.toSeq ++ synth.toSeq.flatMap(_.members), stage)
-    this
-  }
+  /** The identity: the members are cached when the build returns. Kept for
+    * perfbench's `Pipeline`; remove with ROADMAP item 1.
+    */
+  def materialize(): this.type = this
 
   /** The inverted indexes as driver-side hash maps, for the query phase.
-    * Collected from the persisted DataFrames on first use, not by
-    * [[materialize]], so flows that only index never pay for it.
+    * Collected from the cached DataFrames on first use, not by the build,
+    * so flows that only index never pay for it.
     */
   lazy val serving: ServingView = ServingView.collect(this)
 
@@ -52,7 +50,8 @@ object SemanticIndex {
   /** Runs the pre-processing phase over the lake: one per-table stage
     * ([[TableStage]]: KB column and relationship semantics, unary FDs and
     * the synthesized dictionaries' per-table parts, for every table in one
-    * pass), then the synthesized KB's two cross-table overlaps. The lake's
+    * pass), then the synthesized KB's two cross-table overlaps. Every member
+    * is cached when it returns, by one pass over all of them. The lake's
     * value pairs are exposed as `shared`, planned but never computed or
     * cached by the build itself.
     *
@@ -67,7 +66,9 @@ object SemanticIndex {
     val stage = TableStage(cells, kb, annotate = kb.isDefined, synthesize = useSynth)
     val synth =
       if (useSynth) Some(SynthesizedKB.fromStage(stage, SynthesizedKB.defaultMaxValueSpread)) else None
-    LakeIndex(kb, kb.map(_ => stage.kbCS), kb.map(_ => stage.kbRS), synth,
-              shared = Seq(LakeSchema.valuePairs(cells)), stage = Some(stage.tables))
+    val index = LakeIndex(kb, kb.map(_ => stage.kbCS), kb.map(_ => stage.kbRS), synth,
+                          shared = Seq(LakeSchema.valuePairs(cells)))
+    stage.cache(index.kbCS.toSeq ++ index.kbRS.toSeq ++ synth.toSeq.flatMap(_.members))
+    index
   }
 }

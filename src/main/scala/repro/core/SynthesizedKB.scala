@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 
 import repro.kb.KBIndex
@@ -28,8 +28,6 @@ import repro.kb.KBIndex
   *                   pairs of FD column pairs (post KB exclusion)
   * @param pairSizes  (table_id, col_a, col_b, n_pairs) — total distinct value
   *                   pairs per FD pair (the Eq. 6 denominator, pre-exclusion)
-  * @param stage      the per-table stage the members are computed from,
-  *                   cached only while [[materialize]] runs
   */
 final case class SynthIndex(
     synCS: DataFrame,
@@ -37,35 +35,32 @@ final case class SynthIndex(
     colVals: DataFrame,
     colSizes: DataFrame,
     fdPairVals: DataFrame,
-    pairSizes: DataFrame,
-    stage: Option[DataFrame] = None) {
+    pairSizes: DataFrame) {
 
   def members: Seq[DataFrame] = Seq(synCS, synRS, colVals, colSizes, fdPairVals, pairSizes)
 
-  def materialize(): this.type = {
-    TableStage.materialize(members, stage)
-    this
-  }
+  /** The identity: [[SynthesizedKB.build]] returns the members cached.
+    * Kept for perfbench's `Pipeline`; remove with ROADMAP item 1.
+    */
+  def materialize(): this.type = this
 
   def unpersistAll(): Unit = members.foreach(_.unpersist())
 }
 
 object SynthesizedKB {
 
-  /** Key of a lake column, used as a synthesized type annotation. */
-  def colKey(table: org.apache.spark.sql.Column, colId: org.apache.spark.sql.Column) =
-    concat_ws("#", table, colId)
-
-  /** Key of a lake column pair, used as a synthesized relationship annotation. */
-  def pairKey(table: org.apache.spark.sql.Column,
-              a: org.apache.spark.sql.Column, b: org.apache.spark.sql.Column) =
-    concat_ws("#", table, a, b)
+  /** The key of a lake column `(table, col)` or column pair
+    * `(table, a, b)`: `table#col`, `table#a#b`. It is the annotation the
+    * column (pair) gives itself and every column (pair) overlapping it, on
+    * the lake side and the query side alike.
+    */
+  def key(owner: Product): String = owner.productIterator.mkString("#")
 
   val defaultMaxValueSpread = 1000
 
-  /** Builds the synthesized KB over the lake. Kept, with its unused
-    * `precomputedPairs`, for perfbench's `Pipeline`; remove with ROADMAP
-    * item 1.
+  /** Builds the synthesized KB over the lake, its members cached. Kept,
+    * with its unused `precomputedPairs`, for perfbench's `Pipeline`; remove
+    * with ROADMAP item 1.
     *
     * @param cells     lake cells
     * @param excludeKb when SANTOS runs with an existing KB, its index; value
@@ -81,62 +76,62 @@ object SynthesizedKB {
     */
   def build(cells: DataFrame, excludeKb: Option[KBIndex] = None,
             maxValueSpread: Int = defaultMaxValueSpread,
-            precomputedPairs: Option[DataFrame] = None): SynthIndex =
-    fromStage(TableStage(cells, excludeKb, annotate = false, synthesize = true), maxValueSpread)
+            precomputedPairs: Option[DataFrame] = None): SynthIndex = {
+    val stage = TableStage(cells, excludeKb, annotate = false, synthesize = true)
+    val synth = fromStage(stage, maxValueSpread)
+    stage.cache(synth.members)
+    synth
+  }
 
-  /** The synthesized KB from a per-table stage built with `synthesize`: the
-    * sizes, stored value pairs and self annotations are the stage's; the
-    * cross-table overlaps (Eq. 5, Eq. 6) are one exchange of the values (value
-    * pairs) followed by a count per column (pair) pair. Every row carries its
-    * own column's (pair's) size, so no join with the sizes is needed.
+  /** The synthesized KB from a per-table stage built with `synthesize`,
+    * planned, not cached: the sizes, stored value pairs and self rows are
+    * the stage's; the cross rows are the [[overlaps]] of the columns' values
+    * (Eq. 5) and of the FD pairs' stored value pairs (Eq. 6).
     */
   private[core] def fromStage(stage: TableStage, maxValueSpread: Int): SynthIndex = {
     val spark = stage.tables.sparkSession
     import spark.implicits._
-
-    // ---- synthesized type dictionary (Eq. 5) ----
-    val colVals = stage.colVals
-    val colSizes = stage.colSizes
-    val crossCS = colVals.as[(String, Int, String, Long)].groupByKey(_._3)
-      .flatMapGroups { (_, it) =>
-        val cols = it.toVector
-        if (cols.size > maxValueSpread) Iterator.empty
-        else for (a <- cols.iterator; b <- cols.iterator if a._1 != b._1 || a._2 != b._2)
-          yield (a._1, a._2, a._4, b._1, b._2)
-      }.toDF("ta", "ca", "n_distinct", "tb", "cb")
-      .groupBy("ta", "ca", "n_distinct", "tb", "cb")
-      .agg(count(lit(1)).as("n_ov"))
-      .select(col("ta").as("table_id"), col("ca").as("col_id"),
-              colKey(col("tb"), col("cb")).as("annotation"),
-              (col("n_ov") / col("n_distinct")).as("conf"))
-    val selfCS = colSizes.select(
-      col("table_id"), col("col_id"),
-      colKey(col("table_id"), col("col_id")).as("annotation"),
-      lit(1.0).as("conf"))
-    val synCS = selfCS.union(crossCS)
-
-    // ---- synthesized relationship dictionary (Eq. 6, Sec. 7.2) ----
-    val kept = stage.fdPairVals
-    val fdPairs = stage.fdPairs
-    val crossRS = kept.as[(String, Int, Int, String, String, Long)].groupByKey(p => (p._4, p._5))
-      .flatMapGroups { (_, it) =>
-        val ps = it.toVector
-        for (a <- ps.iterator; b <- ps.iterator if a._1 != b._1 || a._2 != b._2 || a._3 != b._3)
-          yield (a._1, a._2, a._3, a._6, b._1, b._2, b._3)
-      }.toDF("ta", "caa", "cab", "n_pairs", "tb", "cba", "cbb")
-      .groupBy("ta", "caa", "cab", "n_pairs", "tb", "cba", "cbb")
-      .agg(count(lit(1)).as("n_ov"))
-      .select(col("ta").as("table_id"), col("caa").as("col_a"), col("cab").as("col_b"),
-              pairKey(col("tb"), col("cba"), col("cbb")).as("annotation"),
-              (col("n_ov") / col("n_pairs")).as("conf"))
-    // Self annotations only for pairs that keep a value pair after exclusion.
-    val selfRS = fdPairs.filter(col("n_kept") > 0)
-      .select(col("table_id"), col("col_a"), col("col_b"),
-              pairKey(col("table_id"), col("col_a"), col("col_b")).as("annotation"),
-              lit(1.0).as("conf"))
-    val synRS = selfRS.union(crossRS)
-
-    SynthIndex(synCS, synRS, colVals.drop("n_distinct"), colSizes, kept.drop("n_pairs"),
-               fdPairs.drop("n_kept"), Some(stage.tables))
+    val (colVals, kept, fdPairs) = (stage.colVals, stage.fdPairVals, stage.fdPairs)
+    val crossCS = overlaps(colVals.as[(String, Int, String, Long)].map { case (t, c, v, n) => (v, (t, c), n) },
+                           maxValueSpread, "table_id", "col_id")
+    val selfCS = stage.colSizes.as[(String, Int, Long)]
+      .map { case (t, c, _) => (t, c, key((t, c)), 1.0) }.toDF("table_id", "col_id", "annotation", "conf")
+    val crossRS = overlaps(kept.as[(String, Int, Int, String, String, Long)]
+                             .map { case (t, a, b, va, vb, n) => ((va, vb), (t, a, b), n) },
+                           Int.MaxValue, "table_id", "col_a", "col_b")
+    // Self rows only for pairs that keep a value pair after exclusion.
+    val selfRS = fdPairs.filter(col("n_kept") > 0).as[(String, Int, Int, Long, Long)]
+      .map { case (t, a, b, _, _) => (t, a, b, key((t, a, b)), 1.0) }
+      .toDF("table_id", "col_a", "col_b", "annotation", "conf")
+    SynthIndex(selfCS.union(crossCS), selfRS.union(crossRS), colVals.drop("n_distinct"),
+               stage.colSizes, kept.drop("n_pairs"), fdPairs.drop("n_kept"))
   }
+
+  /** Eq. 5 and Eq. 6, one formula over postings: an owner (a lake column,
+    * or an FD pair) a inherits the [[key]] of every other owner b it shares
+    * an element (a value, or a stored value pair) with, with confidence
+    * |a ∩ b| / |a|. One exchange of the postings by element, then a count
+    * per (a, b). Each posting carries its owner's size, so no join is needed.
+    *
+    * @param postings  (element, owner, |owner|)
+    * @param maxSpread an element held by more owners is skipped
+    * @param ownerCols the names of the owner's fields in the result, which
+    *                  are followed by `annotation` and `conf`
+    */
+  private def overlaps[E: Encoder, O <: Product : Encoder](postings: Dataset[(E, O, Long)], maxSpread: Int,
+                                                           ownerCols: String*): DataFrame =
+    postings.groupByKey(_._1).flatMapGroups { (_, it) =>
+      val owners = it.toVector
+      if (owners.size > maxSpread) Iterator.empty
+      else {
+        val keys = owners.map(p => key(p._2))
+        for (a <- owners.iterator; (b, bKey) <- owners.iterator.zip(keys) if a._2 != b._2)
+          yield (a._2, a._3, bKey)
+      }
+    }(Encoders.tuple(implicitly[Encoder[O]], Encoders.scalaLong, Encoders.STRING))
+      .toDF("owner", "size", "annotation")
+      .groupBy("owner", "size", "annotation")
+      .agg((count(lit(1)) / col("size")).as("conf"))
+      .select(ownerCols.zipWithIndex.map { case (c, i) => col(s"owner._${i + 1}").as(c) } ++
+              Seq(col("annotation"), col("conf")): _*)
 }

@@ -164,6 +164,20 @@ final class TableStage(val tables: DataFrame) {
   def colSizes: DataFrame = flat("colSizes", "table_id", "col_id", "n_distinct")
   def fdPairVals: DataFrame = flat("fdPairVals", "table_id", "col_a", "col_b", "value_a", "value_b", "n_pairs")
   def fdPairs: DataFrame = flat("fdPairs", "table_id", "col_a", "col_b", "n_pairs", "n_kept")
+
+  /** Persists and forces `members`, computed from this stage, which is
+    * cached only meanwhile. All members are forced by one pass over their
+    * union: one query, so their caches are built concurrently, with no
+    * shuffle (unlike one `count()` each) and one final task.
+    */
+  def cache(members: Seq[DataFrame]): Unit = {
+    tables.persist()
+    try {
+      members.foreach(_.persist())
+      members.map(_.select(lit(1))).reduceOption(_ union _)
+        .foreach(_.coalesce(1).foreachPartition((rows: Iterator[Row]) => rows.foreach(_ => ())))
+    } finally tables.unpersist()
+  }
 }
 
 object TableStage {
@@ -176,19 +190,5 @@ object TableStage {
     new TableStage(LakeSchema.perTable(cells) { (t, tc) =>
       Iterator(TableKernel.index(t, tc, view.map(_.value), annotate, synthesize))
     }.toDF())
-  }
-
-  /** Persists and forces `members`, keeping `stage`, which they are computed
-    * from, cached only meanwhile. All members are forced by one pass over
-    * their union: one query, so their caches are built concurrently, with
-    * no shuffle (unlike one `count()` each) and one final task.
-    */
-  def materialize(members: Seq[DataFrame], stage: Option[DataFrame]): Unit = {
-    stage.foreach(_.persist())
-    try {
-      members.foreach(_.persist())
-      members.map(_.select(lit(1))).reduceOption(_ union _)
-        .foreach(_.coalesce(1).foreachPartition((rows: Iterator[Row]) => rows.foreach(_ => ())))
-    } finally stage.foreach(_.unpersist())
   }
 }

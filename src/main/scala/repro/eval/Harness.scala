@@ -73,9 +73,23 @@ object Harness {
     (a, (System.nanoTime() - t0) / 1e6)
   }
 
+  /** The one SparkSession setup: local mode (or `SPARK_MASTER`), broadcast
+    * joins and the UI off, tuned by [[tuneSpark]] once, at creation.
+    */
+  def session(appName: String): SparkSession = {
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.ui.enabled", false)
+      .getOrCreate()
+    tuneSpark(spark)
+    spark
+  }
+
   /** Local-run tuning: the lite lakes are small, so adaptive execution with
     * partition coalescing removes most fixed shuffle overhead, and a low
-    * shuffle-partition count keeps per-task scheduling overhead from
+    * shuffle-partition count (8) keeps per-task scheduling overhead from
     * dominating the many-join SANTOS dataflow. Cached plans are planned
     * adaptively too, and bucketed scans (no lake table is bucketed) are
     * left as planned, so `persist()` plans in the caller's session instead
@@ -87,8 +101,7 @@ object Harness {
     spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "true")
     spark.conf.set("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", "true")
     spark.conf.set("spark.sql.sources.bucketing.autoBucketedScan.enabled", "false")
-    spark.conf.set("spark.sql.shuffle.partitions",
-                   sys.env.getOrElse("SANTOS_SHUFFLE_PARTITIONS", "8"))
+    spark.conf.set("spark.sql.shuffle.partitions", "8")
   }
 
   /** @param timeQueries how many queries to re-run individually for the
@@ -97,10 +110,9 @@ object Harness {
     */
   def run(spark: SparkSession, world: World, bench: Benchmark, method: Method,
           kbConfig: KBConfig = KBConfig(), timeQueries: Int = 0): RunResult = {
-    tuneSpark(spark)
     bench.lakeCells.persist(); bench.lakeCells.count()
     bench.queryCells.persist(); bench.queryCells.count()
-    val result = method match {
+    method match {
       case Method.D3LBaseline => runD3L(bench, timeQueries)
       case Method.TurlBaseline =>
         runSantos(spark, world, bench, useKb = true, useSynth = false,
@@ -118,7 +130,6 @@ object Harness {
         runSantos(spark, world, bench, useKb = true, useSynth = true,
                   kbConfig, columnOnly = true, timeQueries, method)
     }
-    result
   }
 
   private def queryCellsOf(bench: Benchmark, tableId: String): DataFrame =
@@ -131,7 +142,7 @@ object Harness {
 
     val (index, indexMillis) = timed {
       val kb = if (useKb) Some(KBDictionaries.build(spark, world, kbConfig).materialize()) else None
-      SemanticIndex.build(bench.lakeCells, kb, useSynth).materialize()
+      SemanticIndex.build(bench.lakeCells, kb, useSynth)
     }
 
     def searchFor(cells: DataFrame, queryIntents: Map[String, Int]): Map[String, Seq[Ranked]] = {
@@ -157,10 +168,7 @@ object Harness {
   }
 
   private def runD3L(bench: Benchmark, timeQueries: Int): RunResult = {
-    val (index, indexMillis) = timed {
-      val idx = D3L.buildIndex(bench.lakeCells)
-      idx
-    }
+    val (index, indexMillis) = timed(D3L.buildIndex(bench.lakeCells))
     val queryIds = bench.queries.map(_.tableId)
     val rankings = D3L.search(bench.queryCells, index, queryIds, bench.k)
     val queryTimes = bench.queries.take(timeQueries).map { q =>

@@ -50,8 +50,7 @@ final class KBIndex(
     val labelRows: Seq[(String, Long)],
     val typeRows: Seq[(String, String, String, Double)],
     val relRows: Seq[(String, String, String, Long)],
-    val topLevelCounts: Map[String, Long],
-    val typeGs: Map[String, Double]) extends Serializable {
+    val topLevelCounts: Map[String, Long]) extends Serializable {
 
   private def coveredRows: Seq[String] = labelRows.map(_._1).distinct
 
@@ -214,6 +213,6 @@ object KBDictionaries {
         lo <- labelsById(f.obj)
       } yield (ls, lo, f.predicate, predPairs(f.predicate))
     }.distinct
-    new KBIndex(spark, labelRows, typeDictRows, relRows, topLevelCounts, gs)
+    new KBIndex(spark, labelRows, typeDictRows, relRows, topLevelCounts)
   }
 }

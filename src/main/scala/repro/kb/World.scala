@@ -230,8 +230,4 @@ final class World(val seed: Long = 42L) extends Serializable {
   /** The object of `pred` for subject `subjId`, if any. */
   def objOf(pred: String, subjId: Long): Option[Long] =
     factIndex.get(pred).flatMap(_.get(subjId))
-
-  /** Number of entity pairs per predicate (used for the Eq. 4 tie-break). */
-  val predicatePairCounts: Map[String, Long] =
-    facts.groupBy(_.predicate).map { case (p, fs) => p -> fs.size.toLong }
 }

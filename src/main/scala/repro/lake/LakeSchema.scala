@@ -64,27 +64,33 @@ object LakeSchema {
     }
   }
 
-  /** Cells per slice of [[cellsOf]]: at about 50 B per serialized cell, a
-    * slice's checkpoint task stays under the 1000 KiB above which Spark
-    * warns of a task of very large size.
+  /** Bytes per slice of [[cellsOf]], counting each cell's characters plus
+    * 8 bytes of framing: a slice's task carries its tables, and stays under
+    * the 1000 KiB above which Spark warns of a task of very large size.
     */
-  private val cellsPerSlice = 20000
+  private val sliceBytes = 512 * 1024
 
-  /** Builds the cells DataFrame for a batch of tables. The rows are
-    * checkpointed into block storage at once, so a task over them ships only
-    * its partition's id, not the partition's rows.
+  /** Builds the cells DataFrame for a batch of tables. The tables are
+    * shipped in slices of consecutive tables and expanded into cells on the
+    * executors; the cells are checkpointed into block storage at once, so a
+    * later task over them ships only its partition's id.
     */
   def cellsOf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
-    val rows = tables.iterator.flatMap { t =>
+    val slices = tables.foldLeft(List.empty[(List[TableData], Long)]) { (acc, t) =>
+      val size = t.rows.iterator.flatten.map(v => Option(v).fold(0)(_.length) + 8L).sum
+      acc match {
+        case (ts, n) :: rest if n + size <= sliceBytes => (t :: ts, n + size) :: rest
+        case _ => (List(t), size) :: acc
+      }
+    }.reverse.map(_._1.reverse)
+    val cells = spark.sparkContext.parallelize(slices, math.max(1, slices.size)).flatMap(_.iterator.flatMap { t =>
       t.rows.iterator.zipWithIndex.flatMap { case (row, rid) =>
         row.iterator.zipWithIndex.map { case (v, cid) =>
           Row(t.tableId, cid, t.colNames(cid), rid.toLong, v, t.isString(cid))
         }
       }
-    }.toSeq
-    val slices = math.max(1, (rows.size + cellsPerSlice - 1) / cellsPerSlice)
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, slices), cellSchema)
-      .localCheckpoint(eager = true)
+    })
+    spark.createDataFrame(cells, cellSchema).localCheckpoint(eager = true)
   }
 
   /** [[normalizeValue]] as a Spark function; null for a dropped value. */

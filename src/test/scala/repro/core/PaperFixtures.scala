@@ -52,8 +52,7 @@ object PaperFixtures {
     new KBIndex(
       spark, labels, typeRows, relRows,
       topLevelCounts = Map("place" -> 6000000L, "creativework" -> 7000000L,
-                           "person" -> 1000000L),
-      typeGs = gsFix)
+                           "person" -> 1000000L))
   }
 
   /** Fig. 1(c): the famous-people table (Person, Birthplace). */

@@ -21,6 +21,9 @@ class SynthesizedKBSpec extends SparkSpec {
   lazy val fig2 = PaperFixtures.fig2Tables(spark)
   lazy val index: SynthIndex = SynthesizedKB.build(fig2)
 
+  /** A row's own column key, the annotation of its self row. */
+  private val colKey = concat_ws("#", col("table_id"), col("col_id"))
+
   private def rsConf(table: String, ann: String): Option[Double] =
     index.synRS
       .filter(col("table_id") === table && col("col_a") === 0 && col("col_b") === 1 &&
@@ -123,8 +126,7 @@ class SynthesizedKBSpec extends SparkSpec {
   }
 
   test("synthesized CS self annotations have confidence 1") {
-    val selfRows = index.synCS.filter(col("annotation") ===
-      SynthesizedKB.colKey(col("table_id"), col("col_id")))
+    val selfRows = index.synCS.filter(col("annotation") === colKey)
     assert(selfRows.count() === 6) // 3 tables x 2 columns
     selfRows.collect().foreach(r => assert(r.getAs[Double]("conf") === 1.0))
   }
@@ -169,14 +171,13 @@ class SynthesizedKBSpec extends SparkSpec {
     val cells = LakeSchema.cellsOf(spark, tables)
     val idx = SynthesizedKB.build(cells, maxValueSpread = 3)
     // "everywhere" is in 5 columns > 3, so no cross-column CS survives.
-    val cross = idx.synCS.filter(col("annotation") =!=
-      SynthesizedKB.colKey(col("table_id"), col("col_id")))
+    val cross = idx.synCS.filter(col("annotation") =!= colKey)
     assert(cross.count() === 0)
   }
 
   test("synthesized CS overlap counts match DuckDB") {
     val got = index.synCS
-      .filter(col("annotation") =!= SynthesizedKB.colKey(col("table_id"), col("col_id")))
+      .filter(col("annotation") =!= colKey)
       .select(col("table_id"), col("col_id").cast("string").as("col_id"),
               col("annotation"), format_number(col("conf"), 4).as("conf"))
     Oracle.assertEquivalent(got,

@@ -6,7 +6,6 @@ import org.apache.spark.sql.functions.col
 
 import repro.{Oracle, SparkSpec}
 import repro.core._
-import repro.eval.Harness
 import repro.kb.{KBDictionaries, KBIndex, World}
 import repro.lake.BenchmarkGen.Benchmark
 import repro.lake.LakeSchema
@@ -24,9 +23,8 @@ class IndexBuildSpec extends SparkSpec {
   lazy val trapBench = prepared(MicroBenchmarks.trap(spark, world))
   lazy val zeroCovBench = prepared(MicroBenchmarks.zeroCoverage(spark, world))
 
-  /** Caches the benchmark's cells with the Spark settings, as Harness.run does. */
+  /** Caches the benchmark's cells, as Harness.run does. */
   private def prepared(b: Benchmark): Benchmark = {
-    Harness.tuneSpark(spark)
     b.lakeCells.persist(); b.lakeCells.count()
     b
   }
@@ -177,15 +175,17 @@ class IndexBuildSpec extends SparkSpec {
 
   /** The KB dictionaries restricted to labels occurring in `cells`: the SQL
     * only ever joins them on lake values, so the rest cannot change a result.
+    * The rows are filtered on the driver, so no Spark task carries the whole
+    * dictionaries.
     */
   private def kbTables(cells: DataFrame, k: KBIndex): Seq[(String, DataFrame)] = {
     import spark.implicits._
-    val values = LakeSchema.stringCells(cells).select(col("value").as("v")).distinct()
-    def on(df: DataFrame, c: String) = df.join(values, col(c) === col("v"), "left_semi")
+    val values = LakeSchema.stringCells(cells).select("value").distinct().as[String].collect().toSet
     Seq(
-      "typedict" -> on(k.typeDict, "label"),
-      "covered" -> on(k.coveredLabels, "label"),
-      "reldict" -> on(on(k.relDict, "label_subj"), "label_obj"),
+      "typedict" -> k.typeRows.filter(r => values(r._1)).toDF("label", "type_id", "top_level", "gs"),
+      "covered" -> k.labelRows.map(_._1).distinct.filter(values).toDF("label"),
+      "reldict" -> k.relRows.filter(r => values(r._1) && values(r._2))
+        .toDF("label_subj", "label_obj", "predicate", "pred_pairs"),
       "toppop" -> k.topLevelCounts.toSeq.toDF("top_level", "top_pop"))
   }
 
@@ -195,7 +195,7 @@ class IndexBuildSpec extends SparkSpec {
   private def checkVariant(bench: Benchmark, useKb: Boolean, useSynth: Boolean): Unit = {
     val cells = bench.lakeCells
     val k = if (useKb) Some(kb) else None
-    val index = SemanticIndex.build(cells, k, useSynth).materialize()
+    val index = SemanticIndex.build(cells, k, useSynth)
     try {
       assert(index.kbCS.isDefined === useKb && index.synth.isDefined === useSynth)
       val tables = ("cells" -> cells) +: k.toSeq.flatMap(kbTables(cells, _))
@@ -230,7 +230,7 @@ class IndexBuildSpec extends SparkSpec {
     val wide = LakeSchema.distinctColumnValues(cells).groupBy("value").count()
       .filter(col("count") > maxSpread).count()
     assert(wide > 0)
-    val s = SynthesizedKB.build(cells, maxValueSpread = maxSpread).materialize()
+    val s = SynthesizedKB.build(cells, maxValueSpread = maxSpread)
     try {
       Oracle.assertEquivalent(s.synCS, synCsSql(maxSpread), "cells" -> cells)
       Oracle.assertEquivalent(s.colSizes, s"WITH $lakeCtes SELECT * FROM sizes", "cells" -> cells)
@@ -241,7 +241,7 @@ class IndexBuildSpec extends SparkSpec {
     val cells = trapBench.lakeCells
     val (index, jobs) = SparkJobs.count(spark.sparkContext) {
       val k = KBDictionaries.build(spark, world).materialize()
-      SemanticIndex.build(cells, Some(k), useSynth = true).materialize()
+      SemanticIndex.build(cells, Some(k), useSynth = true)
     }
     try assert(jobs <= 40, s"$jobs Spark jobs for one build")
     finally index.unpersistAll()

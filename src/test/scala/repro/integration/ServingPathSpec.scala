@@ -6,7 +6,6 @@ import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, StringType
 
 import repro.{Oracle, SparkSpec}
 import repro.core._
-import repro.eval.Harness
 import repro.kb.{KBDictionaries, World}
 import repro.lake.BenchmarkGen.{Benchmark, QuerySpec}
 import repro.lake.LakeSchema
@@ -21,11 +20,10 @@ class ServingPathSpec extends SparkSpec {
   lazy val kb = KBDictionaries.build(spark, world).materialize()
   lazy val trapBench = prepared(MicroBenchmarks.trap(spark, world))
   lazy val zeroCovBench = prepared(MicroBenchmarks.zeroCoverage(spark, world))
-  lazy val trapIndex = SemanticIndex.build(trapBench.lakeCells, Some(kb), useSynth = true).materialize()
+  lazy val trapIndex = SemanticIndex.build(trapBench.lakeCells, Some(kb), useSynth = true)
 
-  /** Caches the benchmark's cells with the Spark settings, as Harness.run does. */
+  /** Caches the benchmark's cells, as Harness.run does. */
   private def prepared(b: Benchmark): Benchmark = {
-    Harness.tuneSpark(spark)
     b.lakeCells.persist(); b.lakeCells.count()
     b.queryCells.persist(); b.queryCells.count()
     b
@@ -91,7 +89,7 @@ class ServingPathSpec extends SparkSpec {
   }
 
   private def withIndex(bench: Benchmark, useKb: Boolean, useSynth: Boolean)(body: LakeIndex => Unit): Unit = {
-    val index = SemanticIndex.build(bench.lakeCells, if (useKb) Some(kb) else None, useSynth).materialize()
+    val index = SemanticIndex.build(bench.lakeCells, if (useKb) Some(kb) else None, useSynth)
     try body(index) finally index.unpersistAll()
   }
 

@@ -11,6 +11,9 @@ class KBDictionariesSpec extends SparkSpec {
   lazy val world = new World(42L)
   lazy val kb: KBIndex = KBDictionaries.build(spark, world)
 
+  /** gs per type, as the type dictionary's rows carry it. */
+  lazy val typeGs: Map[String, Double] = kb.typeRows.map(r => r._2 -> r._4).toMap
+
   // ------------------------------------------------------- granularity score
 
   test("Ex. 14: gs(place) with 6M entities is about 0.14") {
@@ -56,14 +59,14 @@ class KBDictionariesSpec extends SparkSpec {
   }
 
   test("gs of a descendant type is at least that of its ancestor") {
-    assert(kb.typeGs("city") >= kb.typeGs("adminarea"))
-    assert(kb.typeGs("adminarea") >= kb.typeGs("place"))
-    assert(kb.typeGs("park") >= kb.typeGs("place"))
+    assert(typeGs("city") >= typeGs("adminarea"))
+    assert(typeGs("adminarea") >= typeGs("place"))
+    assert(typeGs("park") >= typeGs("place"))
   }
 
   test("typeGs is consistent with topLevelCounts") {
     val nPlace = kb.topLevelCounts("place")
-    assert(math.abs(kb.typeGs("place") - KBDictionaries.granularityScore(nPlace)) < 1e-12)
+    assert(math.abs(typeGs("place") - KBDictionaries.granularityScore(nPlace)) < 1e-12)
   }
 
   test("topLevelCounts covers all seven top-level types") {
@@ -83,7 +86,7 @@ class KBDictionariesSpec extends SparkSpec {
   test("relationship dictionary pred_pairs equals the world pair count") {
     val row = kb.relDict.filter(col("predicate") === "directedby")
       .select("pred_pairs").head()
-    assert(row.getLong(0) === world.predicatePairCounts("directedby"))
+    assert(row.getLong(0) === WorldSpec.predicatePairCounts(world)("directedby"))
   }
 
   test("coveredLabels is the distinct label set") {

@@ -6,6 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
   * functionality, determinism. Pure Scala — no Spark needed.
   */
 class WorldSpec extends AnyFunSuite {
+  import WorldSpec.predicatePairCounts
 
   lazy val world = new World(42L)
 
@@ -124,9 +125,9 @@ class WorldSpec extends AnyFunSuite {
   }
 
   test("predicatePairCounts match the fact list") {
-    assert(world.predicatePairCounts("ledby") ===
+    assert(predicatePairCounts(world)("ledby") ===
       (world.byType("park").size + world.byType("city").size).toLong)
-    assert(world.predicatePairCounts("directedby") === world.byType("movie").size.toLong)
+    assert(predicatePairCounts(world)("directedby") === world.byType("movie").size.toLong)
   }
 
   test("generation is deterministic in the seed") {
@@ -147,4 +148,11 @@ class WorldSpec extends AnyFunSuite {
       assert(e.altLabels.head === e.label.replace(" ", ""))
     }
   }
+}
+
+object WorldSpec {
+
+  /** Number of entity pairs per predicate (the Eq. 4 tie-break's count). */
+  def predicatePairCounts(world: World): Map[String, Long] =
+    world.facts.groupBy(_.predicate).map { case (p, fs) => p -> fs.size.toLong }
 }
