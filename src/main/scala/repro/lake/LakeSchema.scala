@@ -64,25 +64,25 @@ object LakeSchema {
     }
   }
 
-  /** Bytes per slice of [[cellsOf]], counting each cell's characters plus
-    * 8 bytes of framing: a slice's task carries its tables, and stays under
-    * the 1000 KiB above which Spark warns of a task of very large size.
+  /** Bytes per slice of [[cellsOf]] at most, counting each cell's
+    * characters plus 8 bytes of framing, and but for the slice's last table:
+    * a slice's task carries its tables, and stays under the 1000 KiB above
+    * which Spark warns of a task of very large size.
     */
   private val sliceBytes = 512 * 1024
 
   /** Builds the cells DataFrame for a batch of tables. The tables are
-    * shipped in slices of consecutive tables and expanded into cells on the
-    * executors; the cells are checkpointed into block storage at once, so a
-    * later task over them ships only its partition's id.
+    * shipped in slices of consecutive tables, balanced by bytes, at least
+    * one per core, and expanded into cells on the executors; the cells are
+    * checkpointed into block storage at once, so a later task over them
+    * ships only its partition's id.
     */
   def cellsOf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
-    val slices = tables.foldLeft(List.empty[(List[TableData], Long)]) { (acc, t) =>
-      val size = t.rows.iterator.flatten.map(v => Option(v).fold(0)(_.length) + 8L).sum
-      acc match {
-        case (ts, n) :: rest if n + size <= sliceBytes => (t :: ts, n + size) :: rest
-        case _ => (List(t), size) :: acc
-      }
-    }.reverse.map(_._1.reverse)
+    val sizes = tables.map(_.rows.iterator.flatten.map(v => Option(v).fold(0)(_.length) + 8L).sum)
+    val total = math.max(1L, sizes.sum)
+    val n = math.max(spark.sparkContext.defaultParallelism.toLong, (total + sliceBytes - 1) / sliceBytes)
+    val slices = tables.zip(sizes.scanLeft(0L)(_ + _)).groupBy { case (_, start) => start * n / total }
+      .toSeq.sortBy(_._1).map(_._2.map(_._1))
     val cells = spark.sparkContext.parallelize(slices, math.max(1, slices.size)).flatMap(_.iterator.flatMap { t =>
       t.rows.iterator.zipWithIndex.flatMap { case (row, rid) =>
         row.iterator.zipWithIndex.map { case (v, cid) =>
